@@ -44,12 +44,11 @@ from .dist_engine import (
     q_poly_recursive,
     q_series_recursive,
 )
-from .gf_formulas import Route, choose_route, dispatch
+from .gf_formulas import Route, choose_route, dispatch, q_poly_gf
 from .analysis import (
     avoidance_sequence,
     check_closed_forms,
     classical_equivalence_check,
-    coeff_x,
     cross_validate,
     default_registry,
     export_sequence,
@@ -87,10 +86,10 @@ __all__ = [
     "Route",
     "choose_route",
     "dispatch",
+    "q_poly_gf",
     "avoidance_sequence",
     "check_closed_forms",
     "classical_equivalence_check",
-    "coeff_x",
     "cross_validate",
     "default_registry",
     "export_sequence",

@@ -3,10 +3,9 @@
 This module turns the three computation engines into verification and
 export tools:
 
-* ``coeff_x`` / ``top_coeff_report`` / ``export_sequence`` pull single
-  coefficients, leading terms, and whole integer sequences out of the
-  distribution polynomials (the x=0 column is the avoidance count:
-  permutations with no match at all).
+* ``top_coeff_report`` / ``export_sequence`` pull leading terms and
+  whole integer sequences out of the distribution polynomials (the x=0
+  column is the avoidance count: permutations with no match at all).
 
 * ``ClosedFormCheck`` + ``check_closed_forms`` evaluate a registry of
   exact coefficient formulas (highest coefficient, second-highest
@@ -59,7 +58,6 @@ __all__ = [
     "avoidance_sequence",
     "check_closed_forms",
     "classical_equivalence_check",
-    "coeff_x",
     "cross_validate",
     "default_registry",
     "export_sequence",
@@ -68,19 +66,6 @@ __all__ = [
 
 DEFAULT_SEQUENCE_TERMS = 12
 CLASSICAL_SCAN_CAP = 10
-
-
-def coeff_x(p: XPoly, r: int) -> int:
-    """Exact coefficient of x^r in p (0 above the degree).
-
-    >>> coeff_x(XPoly((38, 4)), 1)
-    4
-    >>> coeff_x(XPoly((38, 4)), 5)
-    0
-    >>> coeff_x(XPoly((99, 29, 4)), 0)
-    99
-    """
-    return p.coeff(r)
 
 
 def top_coeff_report(pattern, n: int) -> tuple[int, int]:
@@ -163,7 +148,7 @@ class ClosedFormCheck:
     """One exact coefficient formula, checkable against the engine.
 
     For each n >= validity the engine polynomial Q_n must satisfy
-    ``coeff_x(Q_n, selector(n)) == formula(n)``; when ``is_top`` is
+    ``Q_n.coeff(selector(n)) == formula(n)``; when ``is_top`` is
     set, ``selector(n)`` must also be the exact x-degree of Q_n (the
     formula claims the *highest* power, not just some coefficient).
     """

@@ -29,23 +29,13 @@ from .analysis import (
 )
 from .dist_engine import q_poly_bruteforce, q_poly_recursive, q_series_recursive
 from .gf_formulas import dispatch, q_poly_gf
-from .mmp_stat import is_all_natural, mmp_count, parse_pattern
+from .mmp_stat import mmp_count, natural_pattern, parse_pattern
 from .perm_core import ResourceLimitError, parse_perm
 from .poly_series import OrderMismatchError
 
 __all__ = ["main"]
 
 DEFAULT_TRUNCATION = 12
-
-
-def _natural_pattern(text: str) -> tuple[int, int, int, int]:
-    pat = parse_pattern(text)
-    if not is_all_natural(pat):
-        raise ValueError(
-            "this command needs numeric bounds only; empty-quadrant "
-            "patterns (e tokens) are supported by the stat command"
-        )
-    return pat  # type: ignore[return-value]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_poly(args) -> int:
-    pat = _natural_pattern(args.pattern)
+    pat = natural_pattern(parse_pattern(args.pattern))
     if args.method == "brute":
         q = q_poly_bruteforce(args.n, pat)
     elif args.method == "rec":
@@ -124,7 +114,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    pat = _natural_pattern(args.pattern)
+    pat = natural_pattern(parse_pattern(args.pattern))
     if args.order < 0:
         raise ValueError("order must be >= 0")
     if args.method == "rec":
@@ -143,7 +133,7 @@ def _cmd_stat(args) -> int:
 
 
 def _cmd_seq(args) -> int:
-    pat = _natural_pattern(args.pattern)
+    pat = natural_pattern(parse_pattern(args.pattern))
     exp = export_sequence(pat, args.transform, args.n_max)
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")

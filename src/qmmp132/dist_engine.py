@@ -44,10 +44,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .mmp_stat import natural_pattern
 from .perm_core import DEFAULT_ENUM_CAP, ResourceLimitError, catalan
 from .poly_series import ONE, TSeries, XPoly
-
-PatternKey = tuple[int, int, int, int]
 
 #: largest length the packed-limb table accepts
 RECURSION_N_MAX = 64
@@ -59,18 +58,6 @@ _memo: dict[tuple[int, int, int, int, int], int] = {}
 
 # ---------------------------------------------------------------------------
 # structural recursion
-
-
-def _validate_pattern(pat) -> PatternKey:
-    if len(pat) != 4:
-        raise ValueError("pattern must have four bounds")
-    a, b, c, d = pat
-    for v in (a, b, c, d):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ValueError(
-                f"engine patterns need nonnegative integer bounds, got {pat!r}"
-            )
-    return (a, b, c, d)
 
 
 def _unpack(z: int) -> XPoly:
@@ -122,7 +109,7 @@ def q_poly_recursive(n: int, pat) -> XPoly:
     >>> print(q_poly_recursive(5, (1, 1, 1, 1)))
     38+4x
     """
-    a, b, c, d = _validate_pattern(pat)
+    a, b, c, d = natural_pattern(pat, n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > RECURSION_N_MAX:
@@ -131,10 +118,6 @@ def q_poly_recursive(n: int, pat) -> XPoly:
         )
     if n == 0:
         return ONE
-    # bounds of n or more are unsatisfiable at every position of a length-n
-    # permutation, so all such values give the same polynomial; clamping
-    # keeps the memo box small for outlandish inputs
-    a, b, c, d = min(a, n), min(b, n), min(c, n), min(d, n)
     _fill(n, a, b, c, d)
     return _unpack(_memo[(n, a, b, c, d)])
 
@@ -233,7 +216,7 @@ def q_poly_bruteforce(n: int, pat, cap: int = DEFAULT_ENUM_CAP) -> XPoly:
     >>> print(q_poly_bruteforce(2, (1, 1, 0, 1)))
     2
     """
-    pat = _validate_pattern(pat)
+    pat = natural_pattern(pat, n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > cap:
@@ -241,9 +224,7 @@ def q_poly_bruteforce(n: int, pat, cap: int = DEFAULT_ENUM_CAP) -> XPoly:
     if n == 0:
         return ONE
     counts = _counts_for(n, cap)
-    # a bound of n or more is never met (a position sees n-1 other points),
-    # so clamping keeps huge bounds exact while fitting the array dtype
-    clamped = np.asarray([min(v, n) for v in pat], dtype=np.int64)
-    matches = (counts >= clamped).all(axis=2)
+    # bounds are clamped to n, so huge ones still fit the array dtype
+    matches = (counts >= np.asarray(pat, dtype=np.int64)).all(axis=2)
     hist = np.bincount(matches.sum(axis=1), minlength=n + 1)
     return XPoly(int(h) for h in hist)

@@ -31,7 +31,10 @@ function, first reflecting (a, b, c, d) -> (a, d, c, b) when that maps
 the shape onto an implemented one (reflection corresponds to inverting
 the permutation, which swaps quadrants II and IV and preserves the
 distribution), and falling back to the structural recursion for the two
-shapes without formulas.  All results are cached per (pattern, order).
+shapes without formulas.  There is one cache, at `dispatch`: each series
+is stored under (reflected pattern, order), and a reflected request's own
+key points at the same series.  The shape functions are plain formulas
+that fetch their sub-series through `dispatch`.
 
 Everything is exact integer arithmetic; results agree coefficient by
 coefficient with the enumeration and recursion engines and are
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .dist_engine import q_series_recursive
-from .mmp_stat import is_all_natural, swap_b_d
+from .mmp_stat import natural_pattern, swap_b_d
 from .perm_core import catalan
 from .poly_series import (
     TSeries,
@@ -94,9 +97,11 @@ class Route(Enum):
 class GfRequest:
     """A routed request: which series to build, how, and to what order.
 
-    ``args`` are the positional arguments for the shape function (the
-    nonzero bounds, after any reflection); for ``Route.ENGINE`` it is
-    the full four-tuple handed to the structural recursion.
+    ``pattern`` is the canonical pattern: the request reflected when its
+    own shape has no formula, which is also the key `dispatch` caches
+    under.  ``args`` are the positional arguments for the shape function
+    (the nonzero bounds of ``pattern``); for ``Route.ENGINE`` it is the
+    full four-tuple handed to the structural recursion.
     """
 
     pattern: tuple[int, int, int, int]
@@ -109,6 +114,24 @@ class GfRequest:
             raise ValueError("order must be >= 0")
 
 
+# nonzero coordinates of (a, b, c, d) -> (route, coordinates passed to it);
+# the three shapes missing here are served by their reflection
+_SHAPES: dict[tuple[int, ...], tuple[Route, tuple[int, ...]]] = {
+    (): (Route.Q1, (0,)),
+    (0,): (Route.Q1, (0,)),
+    (2,): (Route.Q3, (2,)),
+    (0, 2): (Route.Q13, (0, 2)),
+    (0, 3): (Route.Q14, (0, 3)),
+    (1, 2): (Route.Q23, (1, 2)),
+    (1, 3): (Route.Q24, (1, 3)),
+    (0, 1, 2): (Route.Q123, (0, 1, 2)),
+    (1, 2, 3): (Route.Q234, (1, 2, 3)),
+    (0, 1, 3): (Route.Q124, (0, 1, 3)),
+    (0, 1, 2, 3): (Route.Q1234, (0, 1, 2, 3)),
+    (1,): (Route.ENGINE, (0, 1, 2, 3)),
+    (3,): (Route.ENGINE, (0, 1, 2, 3)),
+}
+
 _cache: dict[tuple[tuple[int, int, int, int], int], TSeries] = {}
 
 
@@ -117,72 +140,44 @@ def clear_gf_cache() -> None:
     _cache.clear()
 
 
-def _validated(pattern) -> tuple[int, int, int, int]:
-    if not (isinstance(pattern, tuple) and len(pattern) == 4):
-        raise ValueError(f"pattern must be a 4-tuple, got {pattern!r}")
-    if not is_all_natural(pattern):
-        raise ValueError(
-            "generating-function routes require all-natural bounds "
-            f"(no empty-quadrant constraints): {pattern!r}"
-        )
-    for v in pattern:
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise ValueError(f"bounds must be non-negative ints: {pattern!r}")
-    return pattern
-
-
 def choose_route(pattern, order: int) -> GfRequest:
     """Classify a pattern by its zero-shape and pick the formula for it.
 
     Reflection (a, b, c, d) -> (a, d, c, b) is applied exactly when the
     original shape has no formula but the reflected one does.
     """
-    a, b, c, d = _validated(pattern)
-    shape = (a > 0, b > 0, c > 0, d > 0)
-    direct: dict[tuple[bool, bool, bool, bool], tuple[Route, tuple[int, ...]]] = {
-        (False, False, False, False): (Route.Q1, (0,)),
-        (True, False, False, False): (Route.Q1, (a,)),
-        (False, False, True, False): (Route.Q3, (c,)),
-        (True, False, True, False): (Route.Q13, (a, c)),
-        (True, False, False, True): (Route.Q14, (a, d)),
-        (False, True, True, False): (Route.Q23, (b, c)),
-        (False, True, False, True): (Route.Q24, (b, d)),
-        (True, True, True, False): (Route.Q123, (a, b, c)),
-        (False, True, True, True): (Route.Q234, (b, c, d)),
-        (True, True, False, True): (Route.Q124, (a, b, d)),
-        (True, True, True, True): (Route.Q1234, (a, b, c, d)),
-        (False, True, False, False): (Route.ENGINE, (a, b, c, d)),
-        (False, False, False, True): (Route.ENGINE, (a, b, c, d)),
-    }
-    if shape in direct:
-        route, args = direct[shape]
-        return GfRequest((a, b, c, d), order, route, args)
-    # Shapes reachable only through reflection: (a,b,0,0), (0,0,c,d),
-    # (a,c,d nonzero), i.e. swap quadrants II and IV and re-classify.
-    ra, rb, rc, rd = swap_b_d((a, b, c, d))
-    reflected = choose_route((ra, rb, rc, rd), order)
-    return GfRequest((a, b, c, d), order, reflected.route, reflected.args)
-
-
-_ROUTE_FN = {}  # Route -> shape function; filled in after definitions.
+    pat = natural_pattern(pattern)
+    shape = tuple(i for i, v in enumerate(pat) if v)
+    if shape not in _SHAPES:
+        pat = swap_b_d(pat)
+        shape = tuple(i for i, v in enumerate(pat) if v)
+    route, coords = _SHAPES[shape]
+    return GfRequest(pat, order, route, tuple(pat[i] for i in coords))
 
 
 def dispatch(pattern, order: int) -> TSeries:
     """Series of the given order for any all-natural pattern.
 
     Routing: single formula per shape, reflection where needed, and the
-    structural recursion for (0, b, 0, 0) / (0, 0, 0, d).  Cached.
+    structural recursion for (0, b, 0, 0) / (0, 0, 0, d).  The formula
+    route's only cache lives here.  Each series is computed once, under
+    (reflected pattern, order); a reflected request also keeps its own
+    key, pointing at that same series, so a repeat skips the routing.
     """
-    req = choose_route(pattern, order)
+    asked = (natural_pattern(pattern), order)
+    out = _cache.get(asked)
+    if out is not None:
+        return out
+    req = choose_route(asked[0], order)
     key = (req.pattern, order)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    if req.route is Route.ENGINE:
-        out = q_series_recursive(req.args, order)
-    else:
-        out = _ROUTE_FN[req.route](*req.args, order)
-    _cache[key] = out
+    out = _cache.get(key)
+    if out is None:
+        if req.route is Route.ENGINE:
+            out = q_series_recursive(req.args, order)
+        else:
+            out = _ROUTE_FN[req.route](*req.args, order)
+        _cache[key] = out
+    _cache[asked] = out
     return out
 
 
@@ -205,11 +200,6 @@ def _require_positive(**bounds: int) -> None:
             raise ValueError(f"{name} must be a positive int, got {v!r}")
 
 
-def _finish(pattern: tuple[int, int, int, int], order: int, out: TSeries) -> TSeries:
-    _cache[(pattern, order)] = out
-    return out
-
-
 def series_q1(k: int, order: int) -> TSeries:
     """Series for pattern (k, 0, 0, 0): at least k points above-right.
 
@@ -220,15 +210,11 @@ def series_q1(k: int, order: int) -> TSeries:
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ValueError(f"k must be a non-negative int, got {k!r}")
-    pattern = (k, 0, 0, 0)
-    key = (pattern, order)
-    if key in _cache:
-        return _cache[key]
     if k == 0:
-        return _finish(pattern, order, catalan_xt_series(order))
+        return catalan_xt_series(order)
     sub = dispatch((k - 1, 0, 0, 0), order)
     one = TSeries.one(order)
-    return _finish(pattern, order, (one - sub.shift(1)).reciprocal())
+    return (one - sub.shift(1)).reciprocal()
 
 
 def series_q3(k: int, order: int) -> TSeries:
@@ -239,11 +225,7 @@ def series_q3(k: int, order: int) -> TSeries:
     through t^{k-1}.
     """
     _require_positive(k=k)
-    pattern = (0, 0, k, 0)
-    key = (pattern, order)
-    if key in _cache:
-        return _cache[key]
-    return _finish(pattern, order, solve_q00k0(k, order))
+    return solve_q00k0(k, order)
 
 
 def series_q13(k: int, m: int, order: int) -> TSeries:
@@ -253,13 +235,9 @@ def series_q13(k: int, m: int, order: int) -> TSeries:
     over the (k-1, 0, m, 0) series and bottoming at (0, 0, m, 0).
     """
     _require_positive(k=k, m=m)
-    pattern = (k, 0, m, 0)
-    key = (pattern, order)
-    if key in _cache:
-        return _cache[key]
     sub = dispatch((k - 1, 0, m, 0), order)
     one = TSeries.one(order)
-    return _finish(pattern, order, (one - sub.shift(1)).reciprocal())
+    return (one - sub.shift(1)).reciprocal()
 
 
 def series_q14(k: int, m: int, order: int) -> TSeries:
@@ -270,10 +248,6 @@ def series_q14(k: int, m: int, order: int) -> TSeries:
     Catalan partial-sum corrections.
     """
     _require_positive(k=k, m=m)
-    pattern = (k, 0, 0, m)
-    key = (pattern, order)
-    if key in _cache:
-        return _cache[key]
     one = TSeries.one(order)
     base = dispatch((k - 1, 0, 0, 0), order)
     denom = one - base.shift(1)
@@ -282,7 +256,7 @@ def series_q14(k: int, m: int, order: int) -> TSeries:
         tail = dispatch((k - 1, 0, 0, m - j), order)
         inner = denom + (tail - catalan_partial_sum(m - j - 1, order)).shift(1)
         num = num + inner.shift(j).scale(catalan(j))
-    return _finish(pattern, order, num * denom.reciprocal())
+    return num * denom.reciprocal()
 
 
 def series_q23(k: int, m: int, order: int) -> TSeries:
@@ -294,10 +268,6 @@ def series_q23(k: int, m: int, order: int) -> TSeries:
     q2 bound is still decaying.
     """
     _require_positive(k=k, m=m)
-    pattern = (0, k, m, 0)
-    key = (pattern, order)
-    if key in _cache:
-        return _cache[key]
     one = TSeries.one(order)
     qc = dispatch((0, 0, m, 0), order)
     denom = one - qc.shift(1)
@@ -306,7 +276,7 @@ def series_q23(k: int, m: int, order: int) -> TSeries:
         head = dispatch((0, k - j - 1, m, 0), order)
         inner = denom + (head - catalan_partial_sum(k - j - 2, order)).shift(1)
         num = num + inner.shift(j).scale(catalan(j))
-    return _finish(pattern, order, num * denom.reciprocal())
+    return num * denom.reciprocal()
 
 
 def series_q24(k: int, m: int, order: int) -> TSeries:
@@ -319,10 +289,6 @@ def series_q24(k: int, m: int, order: int) -> TSeries:
     references the pattern itself, which the 1/(1 - t) factor resolves.
     """
     _require_positive(k=k, m=m)
-    pattern = (0, k, 0, m)
-    key = (pattern, order)
-    if key in _cache:
-        return _cache[key]
     one = TSeries.one(order)
     phi = catalan_partial_sum(k + m - 1, order) - catalan_partial_sum(
         k + m - 2, order
@@ -339,7 +305,7 @@ def series_q24(k: int, m: int, order: int) -> TSeries:
         inner = tail - catalan_partial_sum(k + m - j - 2, order)
         phi = phi + inner.shift(j + 1).scale(catalan(j))
     t = TSeries.t_power(1, order)
-    return _finish(pattern, order, phi * (one - t).reciprocal())
+    return phi * (one - t).reciprocal()
 
 
 def series_q123(k: int, el: int, m: int, order: int) -> TSeries:
@@ -350,10 +316,6 @@ def series_q123(k: int, el: int, m: int, order: int) -> TSeries:
     positions where the q2 bound is still decaying.
     """
     _require_positive(k=k, el=el, m=m)
-    pattern = (k, el, m, 0)
-    key = (pattern, order)
-    if key in _cache:
-        return _cache[key]
     one = TSeries.one(order)
     right = dispatch((k, 0, m, 0), order)
     out = TSeries.t_power(el - 1, order, catalan(el - 1))
@@ -366,7 +328,7 @@ def series_q123(k: int, el: int, m: int, order: int) -> TSeries:
             - catalan_partial_sum(el - 2 - s, order).shift(1)
         )
         out = out + inner.shift(s).scale(catalan(s))
-    return _finish(pattern, order, out)
+    return out
 
 
 def series_q234(k: int, el: int, m: int, order: int) -> TSeries:
@@ -377,10 +339,6 @@ def series_q234(k: int, el: int, m: int, order: int) -> TSeries:
     the middle regime is again resolved by the 1/(1 - t) factor.
     """
     _require_positive(k=k, el=el, m=m)
-    pattern = (0, k, el, m)
-    key = (pattern, order)
-    if key in _cache:
-        return _cache[key]
     one = TSeries.one(order)
     inv = (one - TSeries.t_power(1, order)).reciprocal()
     out = catalan_partial_sum(k + m - 2, order) + TSeries.t_power(
@@ -398,7 +356,7 @@ def series_q234(k: int, el: int, m: int, order: int) -> TSeries:
         tail = dispatch((0, k, el, m - j), order)
         inner = tail - catalan_partial_sum(k + m - j - 2, order)
         acc = acc + inner.shift(j).scale(catalan(j))
-    return _finish(pattern, order, out + acc.shift(1) * inv)
+    return out + acc.shift(1) * inv
 
 
 def series_q124(el: int, k: int, m: int, order: int) -> TSeries:
@@ -409,10 +367,6 @@ def series_q124(el: int, k: int, m: int, order: int) -> TSeries:
     anti-diagonal shape; no self-reference, hence no 1/(1 - t).
     """
     _require_positive(el=el, k=k, m=m)
-    pattern = (el, k, 0, m)
-    key = (pattern, order)
-    if key in _cache:
-        return _cache[key]
     out = catalan_partial_sum(k + m - 1, order)
     acc = TSeries.zero(order)
     for i in range(k - 1):
@@ -426,7 +380,7 @@ def series_q124(el: int, k: int, m: int, order: int) -> TSeries:
         tail = dispatch((el - 1, k, 0, m - j), order)
         inner = tail - catalan_partial_sum(k + m - j - 2, order)
         acc = acc + inner.shift(j).scale(catalan(j))
-    return _finish(pattern, order, out + acc.shift(1))
+    return out + acc.shift(1)
 
 
 def series_q1234(a: int, b: int, c: int, d: int, order: int) -> TSeries:
@@ -437,10 +391,6 @@ def series_q1234(a: int, b: int, c: int, d: int, order: int) -> TSeries:
     bottoming at the three-quadrant shapes.
     """
     _require_positive(a=a, b=b, c=c, d=d)
-    pattern = (a, b, c, d)
-    key = (pattern, order)
-    if key in _cache:
-        return _cache[key]
     out = catalan_partial_sum(b + d - 1, order)
     acc = TSeries.zero(order)
     for i in range(b - 1):
@@ -454,20 +404,19 @@ def series_q1234(a: int, b: int, c: int, d: int, order: int) -> TSeries:
         tail = dispatch((a - 1, b, c, d - j), order)
         inner = tail - catalan_partial_sum(b + d - j - 2, order)
         acc = acc + inner.shift(j).scale(catalan(j))
-    return _finish(pattern, order, out + acc.shift(1))
+    return out + acc.shift(1)
 
 
-_ROUTE_FN.update(
-    {
-        Route.Q1: series_q1,
-        Route.Q3: series_q3,
-        Route.Q13: series_q13,
-        Route.Q14: series_q14,
-        Route.Q23: series_q23,
-        Route.Q24: series_q24,
-        Route.Q123: series_q123,
-        Route.Q234: series_q234,
-        Route.Q124: series_q124,
-        Route.Q1234: series_q1234,
-    }
-)
+# Route -> shape function, read by dispatch at call time
+_ROUTE_FN = {
+    Route.Q1: series_q1,
+    Route.Q3: series_q3,
+    Route.Q13: series_q13,
+    Route.Q14: series_q14,
+    Route.Q23: series_q23,
+    Route.Q24: series_q24,
+    Route.Q123: series_q123,
+    Route.Q234: series_q234,
+    Route.Q124: series_q124,
+    Route.Q1234: series_q1234,
+}

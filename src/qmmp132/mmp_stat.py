@@ -52,13 +52,16 @@ Bound = int | _Empty
 MmpPattern = tuple  # 4-tuple of bounds (a, b, c, d)
 
 
+def _is_count(bound) -> bool:
+    """A numeric bound: a nonnegative int that is not a bool."""
+    return isinstance(bound, int) and not isinstance(bound, bool) and bound >= 0
+
+
 def make_pattern(a, b, c, d) -> MmpPattern:
     """Validate and build a pattern of four quadrant bounds."""
     pat = (a, b, c, d)
     for bound in pat:
-        if bound is EMPTY:
-            continue
-        if not isinstance(bound, int) or bound < 0:
+        if bound is not EMPTY and not _is_count(bound):
             raise ValueError(f"bound must be a nonnegative int or EMPTY: {bound!r}")
     return pat
 
@@ -90,6 +93,32 @@ def format_pattern(pat: MmpPattern) -> str:
 def is_all_natural(pat: MmpPattern) -> bool:
     """True when no coordinate is EMPTY."""
     return all(b is not EMPTY for b in pat)
+
+
+def natural_pattern(pat, n: int | None = None) -> tuple[int, int, int, int]:
+    """Validate an all-natural pattern: a 4-tuple of nonnegative ints.
+
+    This is the input contract of every engine (enumeration, recursion
+    and formulas).  With n given, each bound is clamped to n: a position
+    of a length-n permutation sees n-1 other points, so every bound of n
+    or more is equally unsatisfiable, and clamping keeps tables small for
+    outlandish bounds.
+
+    >>> natural_pattern((1, 99, 0, 2), n=5)
+    (1, 5, 0, 2)
+    """
+    if not (isinstance(pat, tuple) and len(pat) == 4):
+        raise ValueError(f"pattern must be a 4-tuple of bounds, got {pat!r}")
+    if not is_all_natural(pat):
+        raise ValueError(
+            f"numeric bounds only, got {pat!r}; empty-quadrant patterns "
+            "(e tokens) are supported by mmp_count and the stat command"
+        )
+    if not all(_is_count(b) for b in pat):
+        raise ValueError(f"bounds must be nonnegative ints, got {pat!r}")
+    if n is None:
+        return pat
+    return tuple(min(b, n) for b in pat)
 
 
 def quadrant_counts(p: Sequence[int], i: int) -> tuple[int, int, int, int]:
@@ -156,6 +185,7 @@ __all__ = [
     "parse_pattern",
     "format_pattern",
     "is_all_natural",
+    "natural_pattern",
     "quadrant_counts",
     "matches_at",
     "mmp_count",

@@ -286,18 +286,6 @@ class TSeries:
         return "\n".join(f"t^{n}: {c}" for n, c in enumerate(self.coeffs))
 
 
-def series_add(u: TSeries, v: TSeries) -> TSeries:
-    return u + v
-
-
-def series_mul(u: TSeries, v: TSeries) -> TSeries:
-    return u * v
-
-
-def series_reciprocal(u: TSeries) -> TSeries:
-    return u.reciprocal()
-
-
 def catalan_series(N: int) -> TSeries:
     """C(t) = sum C_n t^n truncated at t^N."""
     return TSeries(N, [XPoly((catalan(n),)) for n in range(N + 1)])

@@ -11,7 +11,6 @@ from qmmp132 import (
     catalan,
     check_closed_forms,
     classical_equivalence_check,
-    coeff_x,
     cross_validate,
     default_registry,
     export_sequence,
@@ -25,14 +24,6 @@ from qmmp132.dist_engine import q_series_recursive
 
 # ---------------------------------------------------------------------------
 # coefficient extraction
-
-
-def test_coeff_x():
-    p = XPoly((99, 29, 4))
-    assert coeff_x(p, 0) == 99
-    assert coeff_x(p, 1) == 29
-    assert coeff_x(p, 2) == 4
-    assert coeff_x(p, 7) == 0
 
 
 def test_top_coeff_report_frozen_examples():

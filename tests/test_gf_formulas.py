@@ -12,13 +12,13 @@ from qmmp132 import (
     catalan,
     choose_route,
     dispatch,
+    q_poly_gf,
     rational_series,
 )
 from qmmp132.dist_engine import q_series_recursive
 from qmmp132.gf_formulas import (
     GfRequest,
     clear_gf_cache,
-    q_poly_gf,
     series_q1,
     series_q3,
     series_q13,
@@ -64,6 +64,7 @@ def test_choose_route_reflected_shapes():
     # these shapes have no formula of their own; the mirrored shape does
     assert choose_route((2, 1, 0, 0), 6).route is Route.Q14
     assert choose_route((2, 1, 0, 0), 6).args == (2, 1)
+    assert choose_route((2, 1, 0, 0), 6).pattern == (2, 0, 0, 1)  # canonical
     assert choose_route((0, 0, 3, 1), 6).route is Route.Q23
     assert choose_route((0, 0, 3, 1), 6).args == (1, 3)
     assert choose_route((1, 0, 1, 1), 6).route is Route.Q123
@@ -272,3 +273,6 @@ def test_dispatch_cache_round_trip():
     clear_gf_cache()
     again = dispatch((1, 1, 1, 0), 7)
     assert again == first
+    clear_gf_cache()
+    # a pattern and its reflection share one cache entry
+    assert dispatch((2, 1, 0, 0), 10) is dispatch((2, 0, 0, 1), 10)

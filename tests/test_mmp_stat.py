@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import oracle_mmp_count, oracle_quadrant_counts
 from qmmp132 import (
     EMPTY,
+    dispatch,
     format_pattern,
     inverse,
     make_pattern,
@@ -19,6 +20,8 @@ from qmmp132 import (
     mmp_count,
     parse_pattern,
     parse_perm,
+    q_poly_bruteforce,
+    q_poly_recursive,
     quadrant_counts,
     swap_b_d,
 )
@@ -115,6 +118,20 @@ def test_make_pattern_validation():
         make_pattern(1, 0.5, 0, 0)
     with pytest.raises(ValueError):
         make_pattern(1, "e", 0, 0)  # the string is not the sentinel
+    with pytest.raises(ValueError):
+        make_pattern(True, 0, 0, 0)  # bools are not bounds
+
+
+@pytest.mark.parametrize(
+    "pat",
+    [[1, 1, 1, 1], (1, True, 0, 0), (1, 0.5, 0, 0), (1, EMPTY, 0, 0), (1, -1, 0, 0), (1, 0, 0)],
+    ids=repr,
+)
+def test_every_engine_rejects_malformed_patterns(pat):
+    # the enumeration, the recursion and the formula route share one contract
+    for engine in (q_poly_recursive, q_poly_bruteforce, lambda n, p: dispatch(p, n)):
+        with pytest.raises(ValueError):
+            engine(3, pat)
 
 
 def test_parse_pattern():
