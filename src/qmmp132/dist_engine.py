@@ -35,9 +35,11 @@ clamped to min(., m), which keeps the table small.
 The recursion is evaluated as an iterative table fill over increasing
 length (no call-stack recursion).  Polynomials are packed into single big
 integers with fixed-width limbs (Kronecker substitution): one polynomial
-multiplication becomes one big-integer multiplication.  All coefficients
-are nonnegative and bounded by the Catalan number C_n, so a limb width
-comfortably above C_n's bit length makes the packing lossless.
+multiplication becomes one big-integer multiplication.  Rows are unpacked
+by the series kernel's balanced `poly_series._unpack`, the one unpack in
+the package.  All coefficients are nonnegative and bounded by the Catalan
+number C_n, so a limb whose signed range holds C_64 (its bit length plus
+a sign bit) makes the packing lossless.
 """
 
 from __future__ import annotations
@@ -46,26 +48,17 @@ import numpy as np
 
 from .mmp_stat import natural_pattern
 from .perm_core import DEFAULT_ENUM_CAP, ResourceLimitError, catalan
-from .poly_series import ONE, TSeries, XPoly
+from .poly_series import ONE, TSeries, XPoly, _unpack
 
 #: largest length the packed-limb table accepts
 RECURSION_N_MAX = 64
 
-_LIMB = 128  # bits per packed coefficient; C_64 needs 119, so always safe
-_LIMB_MASK = (1 << _LIMB) - 1
+_LIMB = 128  # bits per packed coefficient; C_64 needs 119 plus a sign bit
 
 _memo: dict[tuple[int, int, int, int, int], int] = {}
 
 # ---------------------------------------------------------------------------
 # structural recursion
-
-
-def _unpack(z: int) -> XPoly:
-    coeffs = []
-    while z:
-        coeffs.append(z & _LIMB_MASK)
-        z >>= _LIMB
-    return XPoly(coeffs)
 
 
 def _fill(n: int, a: int, b: int, c: int, d: int) -> None:
@@ -119,7 +112,7 @@ def q_poly_recursive(n: int, pat) -> XPoly:
     if n == 0:
         return ONE
     _fill(n, a, b, c, d)
-    return _unpack(_memo[(n, a, b, c, d)])
+    return _unpack(_memo[(n, a, b, c, d)], _LIMB)
 
 
 def q_series_recursive(pat, N: int) -> TSeries:

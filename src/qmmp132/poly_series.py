@@ -8,6 +8,28 @@ or produces terms beyond t^N.  Only t is truncated; x-degrees grow as
 needed.  All arithmetic is exact; there are no floats or rationals
 anywhere.
 
+Series arithmetic runs on one packed kernel.  Each x-polynomial is
+packed into a single big integer by Kronecker substitution, x = 2^L:
+the coefficient of x^r sits in limb r, L bits wide.  Limbs are balanced
+(signed): a limb holds any value in [-2^(L-1), 2^(L-1)), so the
+differences the formula route takes pack and unpack exactly.  A series
+product then costs one big-integer product per pair of t-coefficients,
+and each output t-coefficient is unpacked once.  The limb width is
+always derived from a proven bound on the output coefficients:
+
+* product u*v: every coefficient is at most
+  sum_i |u_i|_1 * max_j |v_j|_inf in absolute value;
+* reciprocal 1/u: |(1/u)_n|_1 <= r_n, where r_0 = 1 and
+  r_n = sum_{k>=1} |u_k|_1 * r_{n-k};
+* solve_q00k0: the same kind of majorant, taken over the coefficient
+  recurrence it runs.
+
+Here |p|_1 is the sum and |p|_inf the maximum of the absolute values of
+p's coefficients.  A width of bit_length(bound) + 2 keeps every limb
+inside its signed range.  t and x are never packed together: the support
+of a series is triangular, and one integer for both variables measured
+about 30x slower than one integer per t-coefficient.
+
 Textual forms follow the house style of the series being modeled:
 polynomials print ascending, "38+4x", "99+29x+4x^2"; a series prints one
 "t^n: <poly>" line per order.
@@ -145,6 +167,86 @@ ZERO = XPoly()
 ONE = XPoly((1,))
 
 
+# ---------------------------------------------------------------------------
+# the packed kernel
+
+
+def _pack(coeffs: Sequence[int], L: int) -> int:
+    """sum_r c_r 2^(rL): the polynomial evaluated at x = 2^L."""
+    z = 0
+    for c in reversed(coeffs):
+        z = (z << L) + c
+    return z
+
+
+def _unpack(z: int, L: int) -> XPoly:
+    """Inverse of _pack for balanced limbs: every |c_r| < 2^(L-1)."""
+    mask = (1 << L) - 1
+    half = 1 << (L - 1)
+    coeffs = []
+    while z:
+        c = z & mask
+        z >>= L
+        if c >= half:  # a negative limb borrowed one from the limb above
+            c -= mask + 1
+            z += 1
+        coeffs.append(c)
+    return XPoly(coeffs)
+
+
+def _width(bound: int) -> int:
+    """Limb width for coefficients of absolute value at most ``bound``."""
+    return bound.bit_length() + 2
+
+
+def _norm1(p: XPoly) -> int:
+    return sum(map(abs, p.coeffs))
+
+
+def _inverse_terms(u: Sequence[int], sign: int) -> list[int]:
+    """w_0 = u_0, w_n = sign * sum_{k>=1} u_k w_{n-k}, for n < len(u).
+
+    With packed u (u_0 = +-1 = 1/u_0) and sign = -u_0 this is 1/u packed;
+    with u_k = |u_k|_1 and sign = 1 it is the majorant r_n of 1/u.
+    """
+    nz = [k for k in range(1, len(u)) if u[k]]
+    w = [u[0]]
+    for n in range(1, len(u)):
+        acc = 0
+        for k in nz:
+            if k > n:
+                break
+            acc += u[k] * w[n - k]
+        w.append(sign * acc)
+    return w
+
+
+def _q00k0_terms(k: int, N: int, x: int, b: int) -> list[int]:
+    """Q_n = [n=0] + x*(Q^2)_{n-1} + b * sum_{j=1}^{k} C_{j-1} Q_{n-j}, n <= N.
+
+    At x = 2^L, b = 1 - 2^L this is the (0,0,k,0) series packed at width
+    L; at x = 1, b = 2 it is the majorant of the coefficients' 1-norms.
+    """
+    cat = [catalan(j) for j in range(k)]
+    q: list[int] = []
+    for n in range(N + 1):
+        if n == 0:
+            q.append(1)
+            continue
+        m = n - 1  # (Q^2)_m by symmetry: twice the half-sum, plus a middle square
+        sq = 0
+        for i in range((m + 1) // 2):
+            sq += q[i] * q[m - i]
+        sq *= 2
+        if m % 2 == 0:
+            sq += q[m // 2] * q[m // 2]
+        acc = 0
+        for j in range(1, min(k, n) + 1):
+            acc += cat[j - 1] * q[n - j]
+        q.append(x * sq + b * acc)
+    return q
+
+
 def _as_xpoly(v) -> XPoly:
     if isinstance(v, XPoly):
         return v
@@ -210,20 +312,32 @@ class TSeries:
         return TSeries(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: "TSeries") -> "TSeries":
+        """Product through the packed kernel: one big-integer product per
+        pair of nonzero t-coefficients, one unpack per output coefficient."""
         self._check(other)
         N = self.order
-        out = [ZERO] * (N + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(N + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
+        bound = sum(map(_norm1, self.coeffs)) * max(
+            max(map(abs, b.coeffs), default=0) for b in other.coeffs
+        )
+        L = _width(bound)
+        A = [_pack(a.coeffs, L) for a in self.coeffs]
+        B = [_pack(b.coeffs, L) for b in other.coeffs]
+        nz = [i for i in range(N + 1) if A[i]]
+        out = []
+        for n in range(N + 1):
+            z = 0
+            for i in nz:
+                if i > n:
+                    break
+                if B[n - i]:
+                    z += A[i] * B[n - i]
+            out.append(_unpack(z, L))
         return TSeries(N, out)
 
     def scale(self, c) -> "TSeries":
         """Multiply every coefficient by an int or XPoly."""
+        if isinstance(c, int):
+            return TSeries(self.order, [a.scale(c) for a in self.coeffs])
         p = _as_xpoly(c)
         return TSeries(self.order, [a * p for a in self.coeffs])
 
@@ -239,16 +353,10 @@ class TSeries:
         if c0 != ONE and c0 != XPoly((-1,)):
             raise ValueError("reciprocal needs constant term +1 or -1")
         u0 = c0.coeff(0)  # +1 or -1, self-inverse
-        inv = [ZERO] * (self.order + 1)
-        inv[0] = XPoly((u0,))
-        for n in range(1, self.order + 1):
-            acc = ZERO
-            for k in range(1, n + 1):
-                uk = self.coeffs[k]
-                if not uk.is_zero():
-                    acc = acc + uk * inv[n - k]
-            inv[n] = acc.scale(-u0)
-        return TSeries(self.order, inv)
+        r = _inverse_terms([1] + [_norm1(u) for u in self.coeffs[1:]], 1)
+        L = _width(max(r))
+        inv = _inverse_terms([_pack(u.coeffs, L) for u in self.coeffs], -u0)
+        return TSeries(self.order, [_unpack(z, L) for z in inv])
 
     def subs_x(self, x: int) -> "TSeries":
         """Evaluate every coefficient at an integer x."""
@@ -315,24 +423,29 @@ def rational_series(num: Sequence[int], den: Sequence[int], N: int) -> TSeries:
 def solve_q00k0(k: int, N: int) -> TSeries:
     """Series Q with t*x*Q^2 - (1 + (tx - t)*S_k)*Q + 1 = 0 and Q(0) = 1.
 
-    S_k is the Catalan partial sum through t^{k-1}.  Solved by iterating
-    the fixed point Q <- (1 + t*x*Q^2) / (1 + (tx - t)*S_k), which pins
-    down one further t-order per pass because the numerator's Q-dependence
-    carries a factor t.
+    S_k is the Catalan partial sum through t^{k-1}.  Writing the quadratic
+    as B*Q = 1 + t*x*Q^2 with B = 1 + (tx - t)*S_k, so B_0 = 1 and
+    B_j = (x - 1)*C_{j-1} for 1 <= j <= k, and reading off the t^n
+    coefficient gives the recurrence
+
+        Q_n = [n=0] + x*(Q^2)_{n-1} - sum_{j>=1} B_j Q_{n-j},
+
+    whose right side only needs Q_0..Q_{n-1}.  It runs packed at a width
+    taken from the same recurrence with every term replaced by its
+    1-norm bound: O(N^2) big-integer products in all.
     """
     if k < 1:
         raise ValueError("k must be >= 1 (k = 0 is the C(xt) case)")
+    L = _width(max(_q00k0_terms(k, N, 1, 2)))
+    packed = _q00k0_terms(k, N, 1 << L, 1 - (1 << L))
+    q = TSeries(N, [_unpack(z, L) for z in packed])
     one = TSeries.one(N)
     s_k = catalan_partial_sum(k - 1, N)
     # tx - t as a series: coefficient of t^1 is x - 1
     tx_minus_t = TSeries.t_power(1, N, XPoly((-1, 1)))
-    b_inv = (one + tx_minus_t * s_k).reciprocal()
     tx = TSeries.t_power(1, N, XPoly((0, 1)))
-    q = one
-    for _ in range(N + 1):
-        q = (one + tx * q * q) * b_inv
     # exact residual check: the quadratic must vanish identically
     residual = tx * q * q - (one + tx_minus_t * s_k) * q + one
     if any(not c.is_zero() for c in residual.coeffs):
-        raise ArithmeticError("fixed point failed to satisfy its quadratic")
+        raise ArithmeticError("recurrence failed to satisfy its quadratic")
     return q

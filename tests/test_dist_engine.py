@@ -16,6 +16,7 @@ from qmmp132 import (
     q_series_recursive,
 )
 from qmmp132.dist_engine import (
+    _LIMB,
     RECURSION_N_MAX,
     avoiders_array,
     clear_brute_cache,
@@ -121,6 +122,13 @@ def test_resource_limits():
     # a caller-supplied cap overrides the default
     with pytest.raises(ResourceLimitError):
         q_poly_bruteforce(6, (1, 1, 1, 1), cap=5)
+
+
+def test_limb_width_holds_every_coefficient():
+    # coefficients are at most C_n, and a balanced limb spends one bit on sign
+    assert catalan(RECURSION_N_MAX).bit_length() + 1 < _LIMB
+    q = q_poly_recursive(RECURSION_N_MAX, (0, 0, 0, 0))
+    assert q == XPoly.x_power(RECURSION_N_MAX, catalan(RECURSION_N_MAX))
 
 
 def test_recursion_reaches_large_lengths():

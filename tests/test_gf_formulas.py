@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import time
+from itertools import combinations
+
 import pytest
 
 from conftest import natural_patterns
@@ -15,7 +18,7 @@ from qmmp132 import (
     q_poly_gf,
     rational_series,
 )
-from qmmp132.dist_engine import q_series_recursive
+from qmmp132.dist_engine import clear_recursion_memo, q_series_recursive
 from qmmp132.gf_formulas import (
     GfRequest,
     clear_gf_cache,
@@ -31,6 +34,7 @@ from qmmp132.gf_formulas import (
     series_q1234,
 )
 from qmmp132.mmp_stat import swap_b_d
+from qmmp132.poly_series import solve_q00k0
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +134,30 @@ def test_each_formula_matches_recursion():
             got = fn(*args, N)
             want = q_series_recursive(to_pattern(*args), N)
             assert got == want, (fn.__name__, args)
+
+
+def test_high_order_formulas_match_recursion():
+    for k in (1, 2, 3, 4):
+        assert solve_q00k0(k, 60) == q_series_recursive((0, 0, k, 0), 60), k
+    assert dispatch((1, 1, 1, 1), 60) == q_series_recursive((1, 1, 1, 1), 60)
+    # one pattern per zero-shape: every Route, and the three shapes that
+    # only reflection reaches
+    for size in range(1, 5):
+        for shape in combinations(range(4), size):
+            pat = tuple(2 - i % 2 if i in shape else 0 for i in range(4))
+            assert dispatch(pat, 50) == q_series_recursive(pat, 50), pat
+
+
+def test_cold_order_60_formula_route_is_fast():
+    # guards the O(N^2) solve of the (0,0,c,0) quadratic: 2 s is about 10x
+    # its measured time, and an O(N^3) fixed-point solve took 12 s on the
+    # same 2-core x86 host
+    clear_gf_cache()
+    clear_recursion_memo()
+    t0 = time.perf_counter()
+    dispatch((1, 1, 1, 1), 60)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0, f"cold (1,1,1,1) to order 60 took {elapsed:.2f}s"
 
 
 def test_reflection_symmetry_of_dispatch():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from qmmp132 import TSeries, XPoly, catalan, catalan_series, catalan_xt_series
 from qmmp132.poly_series import (
     OrderMismatchError,
+    _pack,
+    _unpack,
     catalan_partial_sum,
     rational_series,
     solve_q00k0,
@@ -96,8 +98,8 @@ def test_xpoly_ring_axioms(p, q, r, v):
 # TSeries
 
 
-def series_strategy(order: int):
-    return st.lists(xpolys, min_size=0, max_size=order + 1).map(
+def series_strategy(order: int, elements=xpolys):
+    return st.lists(elements, min_size=0, max_size=order + 1).map(
         lambda cs: TSeries(order, cs)
     )
 
@@ -193,6 +195,69 @@ def test_tseries_reciprocal_is_exact_inverse(u):
     # force an invertible constant term
     v = TSeries(5, (XPoly((1,)),) + u.coeffs[1:])
     assert v * v.reciprocal() == TSeries.one(5)
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against a schoolbook reference
+
+
+def schoolbook_mul(u: TSeries, v: TSeries) -> TSeries:
+    N = u.order
+    out = [[] for _ in range(N + 1)]
+    for i, a in enumerate(u.coeffs):
+        for j, b in enumerate(v.coeffs[: N + 1 - i]):
+            acc = out[i + j]
+            for r, ca in enumerate(a.coeffs):
+                for s, cb in enumerate(b.coeffs):
+                    acc.extend([0] * (r + s + 1 - len(acc)))
+                    acc[r + s] += ca * cb
+    return TSeries(N, [XPoly(c) for c in out])
+
+
+def schoolbook_reciprocal(u: TSeries) -> TSeries:
+    u0 = u.coeffs[0].coeffs[0]
+    inv = [[u0]]
+    for n in range(1, u.order + 1):
+        acc: list[int] = []
+        for k in range(1, n + 1):
+            for r, ca in enumerate(u.coeffs[k].coeffs):
+                for s, cb in enumerate(inv[n - k]):
+                    acc.extend([0] * (r + s + 1 - len(acc)))
+                    acc[r + s] -= u0 * ca * cb
+        inv.append(acc)
+    return TSeries(u.order, [XPoly(c) for c in inv])
+
+
+big_coeffs = st.one_of(st.integers(-3, 3), st.integers(-(2**200), 2**200))
+# the zero polynomial is drawn often, so sparse and all-zero series occur
+big_xpolys = st.one_of(st.just(XPoly()), st.lists(big_coeffs, max_size=6).map(XPoly))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packed_mul_and_reciprocal_match_schoolbook(data):
+    order = data.draw(st.integers(0, 12))
+    u = data.draw(series_strategy(order, big_xpolys))
+    v = data.draw(series_strategy(order, big_xpolys))
+    assert u * v == schoolbook_mul(u, v)
+    unit = XPoly((data.draw(st.sampled_from((1, -1))),))
+    w = TSeries(order, (unit,) + u.coeffs[1:])
+    assert w.reciprocal() == schoolbook_reciprocal(w)
+
+
+def test_pack_unpack_round_trip_at_limb_edge():
+    for L in (2, 3, 8, 64, 127, 128, 129):
+        edge = 2 ** (L - 1) - 1  # and -edge - 1 = -2^(L-1) still fits
+        for coeffs in (
+            [edge],
+            [-edge],
+            [-edge - 1],
+            [edge, -edge, edge],
+            [-edge, 0, 0, -edge - 1],
+            [0, 0, -1],
+            [],
+        ):
+            assert _unpack(_pack(coeffs, L), L) == XPoly(coeffs), (L, coeffs)
 
 
 # ---------------------------------------------------------------------------
