@@ -35,19 +35,36 @@ clamped to min(., m), which keeps the table small.
 The recursion is evaluated as an iterative table fill over increasing
 length (no call-stack recursion).  Polynomials are packed into single big
 integers with fixed-width limbs (Kronecker substitution): one polynomial
-multiplication becomes one big-integer multiplication.  Rows are unpacked
-by the series kernel's balanced `poly_series._unpack`, the one unpack in
-the package.  All coefficients are nonnegative and bounded by the Catalan
+multiplication becomes one big-integer multiplication.  For a row of
+length m with bounds (a', b', c, d'), the positions i fall into three
+regimes:
+
+* i < b': the right factor still carries b' - i in its b bound;
+* max(b', 1) <= i <= m - d': both truncations are spent, so the left
+  factor is the length-(i-1) row of the fixed bounds (a'-.-1, b', c, 0)
+  and the right factor the length-(m-i) row of (a', 0, c, d');
+* i > m - d': the left factor still carries d' - (m - i) in its d bound.
+
+The middle regime, which holds all but at most b' + d' positions, is a
+t-convolution of two fixed families of rows.  The fill keeps each family
+as a list indexed by length, so the middle is one dot product of a slice
+and a reversed slice, summed in C; when a' = b' = 0 it is split at
+i = c + 1 and the part where n matches is shifted up one limb.  Only the
+edge terms are summed by an interpreted loop.  Rows are unpacked by the
+series kernel's balanced `poly_series._unpack`, the one unpack in the
+package.  All coefficients are nonnegative and bounded by the Catalan
 number C_n, so a limb whose signed range holds C_64 (its bit length plus
 a sign bit) makes the packing lossless.
 """
 
 from __future__ import annotations
 
+from operator import mul
+
 import numpy as np
 
 from .mmp_stat import natural_pattern
-from .perm_core import DEFAULT_ENUM_CAP, ResourceLimitError, catalan
+from .perm_core import DEFAULT_ENUM_CAP, ResourceLimitError
 from .poly_series import ONE, TSeries, XPoly, _unpack
 
 #: largest length the packed-limb table accepts
@@ -62,36 +79,67 @@ _memo: dict[tuple[int, int, int, int, int], int] = {}
 
 
 def _fill(n: int, a: int, b: int, c: int, d: int) -> None:
-    """Ensure memo rows for every state reachable from (a,b,c,d) up to length n."""
+    """Ensure memo rows for every state reachable from (a,b,c,d) up to length n.
+
+    While it runs, ``fam[a'][b'][d'][k]`` is the packed row
+    ``_memo[(k, a', min(b',k), c, min(d',k))]`` (1 at k = 0), grown by one
+    entry per length, so every factor of the sum is a list read.
+    """
+    if (n, a, b, c, d) in _memo:
+        return  # rows go in (m, a', b', d') order: the box is complete
+    fam = [[[[1] for _ in range(d + 1)] for _ in range(b + 1)] for _ in range(a + 1)]
     for m in range(1, n + 1):
-        bm = min(b, m)
-        dm = min(d, m)
+        if m > 1:  # extend every family by its length-(m-1) row
+            k = m - 1
+            dks = [min(dd, k) for dd in range(d + 1)]
+            for aa, per_b in enumerate(fam):
+                for bb, per_d in enumerate(per_b):
+                    bk = min(bb, k)
+                    for dk, row in zip(dks, per_d):
+                        row.append(_memo[(k, aa, bk, c, dk)])
+        if (m, a, min(b, m), c, min(d, m)) in _memo:
+            continue  # its top row is written last: the length is complete
         for aa in range(a + 1):
-            for bb in range(bm + 1):
-                for dd in range(dm + 1):
+            left = fam[aa - 1 if aa else 0]
+            right = fam[aa]
+            for bb in range(min(b, m) + 1):
+                lfam = left[bb]
+                lmid = lfam[0]
+                lo = max(bb, 1)  # from i = lo on, the right factor's b is spent
+                for dd in range(min(d, m) + 1):
                     key = (m, aa, bb, c, dd)
                     if key in _memo:
                         continue
-                    a_left = aa - 1 if aa else 0
-                    acc = 0
-                    for i in range(1, m + 1):
-                        dl = max(dd - (m - i), 0)
-                        left = (
-                            1
-                            if i == 1
-                            else _memo[(i - 1, a_left, min(bb, i - 1), c, min(dl, i - 1))]
-                        )
-                        br = max(bb - i, 0)
-                        right = (
-                            1
-                            if i == m
-                            else _memo[(m - i, aa, min(br, m - i), c, min(dd, m - i))]
-                        )
-                        term = left * right
-                        if aa == 0 and bb == 0 and i - 1 >= c and m - i >= dd:
-                            term <<= _LIMB  # the maximal value matches: factor x
-                        acc += term
+                    rmid = right[0][dd]
+                    hi = m - dd  # up to i = hi, the left factor's d is spent
+                    mid = min(lo, hi + 1)  # the middle regime is mid..hi
+                    if aa == 0 and bb == 0:  # n matches from i = c + 1 on
+                        split = min(max(c + 1, mid), hi + 1)
+                        acc = _dot(lmid, rmid, m, mid, split - 1)
+                        acc += _dot(lmid, rmid, m, split, hi) << _LIMB
+                    else:
+                        acc = _dot(lmid, rmid, m, mid, hi)
+                    for i in range(1, mid):
+                        acc += lmid[i - 1] * right[bb - i][dd][m - i]
+                    for i in range(hi + 1, m + 1):
+                        # m - i < dd: no position of the right factor can see
+                        # dd points below-right, so its b bound is moot
+                        acc += lfam[i - hi][i - 1] * rmid[m - i]
                     _memo[key] = acc
+
+
+def _dot(left: list[int], right: list[int], m: int, lo: int, hi: int) -> int:
+    """sum_{i=lo}^{hi} left[i-1] * right[m-i] in one C-level pass; lo <= hi + 1."""
+    return sum(map(mul, left[lo - 1 : hi], reversed(right[m - hi : m - lo + 1])))
+
+
+def _check_length(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > RECURSION_N_MAX:
+        raise ResourceLimitError(
+            f"recursion table supports n <= {RECURSION_N_MAX}, got {n}"
+        )
 
 
 def q_poly_recursive(n: int, pat) -> XPoly:
@@ -103,12 +151,7 @@ def q_poly_recursive(n: int, pat) -> XPoly:
     38+4x
     """
     a, b, c, d = natural_pattern(pat, n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > RECURSION_N_MAX:
-        raise ResourceLimitError(
-            f"recursion table supports n <= {RECURSION_N_MAX}, got {n}"
-        )
+    _check_length(n)
     if n == 0:
         return ONE
     _fill(n, a, b, c, d)
@@ -116,7 +159,12 @@ def q_poly_recursive(n: int, pat) -> XPoly:
 
 
 def q_series_recursive(pat, N: int) -> TSeries:
-    """Series whose t^n coefficient is q_poly_recursive(n, pat), n <= N."""
+    """Series whose t^n coefficient is q_poly_recursive(n, pat), n <= N.
+
+    The order is checked before any row is filled.
+    """
+    pat = natural_pattern(pat)
+    _check_length(N)
     return TSeries(N, [q_poly_recursive(n, pat) for n in range(N + 1)])
 
 

@@ -110,7 +110,12 @@ class XPoly:
         return XPoly(-c for c in self.coeffs)
 
     def __sub__(self, other: "XPoly") -> "XPoly":
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a)
+        out.extend([0] * (len(b) - len(a)))
+        for r, c in enumerate(b):
+            out[r] -= c
+        return XPoly(out)
 
     def __mul__(self, other: "XPoly") -> "XPoly":
         a, b = self.coeffs, other.coeffs

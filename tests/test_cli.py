@@ -85,6 +85,12 @@ def test_series_negative_order(capsys):
     assert "error:" in err
 
 
+def test_series_order_above_the_recursion_limit(capsys):
+    code, out, err = run(capsys, "series", "--pattern", "0,2,0,0", "--order", "70")
+    assert (code, out) == (2, "")
+    assert "n <= 64" in err
+
+
 # ---------------------------------------------------------------------------
 # stat
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import natural_patterns, oracle_distribution, poly_to_hist
 from qmmp132 import (
@@ -15,6 +17,7 @@ from qmmp132 import (
     q_poly_recursive,
     q_series_recursive,
 )
+from qmmp132 import dist_engine
 from qmmp132.dist_engine import (
     _LIMB,
     RECURSION_N_MAX,
@@ -22,7 +25,7 @@ from qmmp132.dist_engine import (
     clear_brute_cache,
     clear_recursion_memo,
 )
-from qmmp132.mmp_stat import EMPTY, swap_b_d
+from qmmp132.mmp_stat import EMPTY, natural_pattern, swap_b_d
 from qmmp132.perm_core import gen_avoiders
 
 
@@ -122,6 +125,82 @@ def test_resource_limits():
     # a caller-supplied cap overrides the default
     with pytest.raises(ResourceLimitError):
         q_poly_bruteforce(6, (1, 1, 1, 1), cap=5)
+
+
+def test_series_limits_fail_before_any_row_is_filled():
+    clear_recursion_memo()
+    with pytest.raises(ResourceLimitError):
+        q_series_recursive((3, 3, 3, 3), 70)
+    with pytest.raises(ValueError):
+        q_series_recursive((3, 3, 3, 3), -1)
+    assert dist_engine._memo == {}
+
+
+def _reference_fill(memo, n, a, b, c, d):
+    """The table fill as one triple loop over (m, a', b', d') and i."""
+    for m in range(1, n + 1):
+        for aa in range(a + 1):
+            for bb in range(min(b, m) + 1):
+                for dd in range(min(d, m) + 1):
+                    key = (m, aa, bb, c, dd)
+                    if key in memo:
+                        continue
+                    a_left = aa - 1 if aa else 0
+                    acc = 0
+                    for i in range(1, m + 1):
+                        k, dl = i - 1, max(dd - (m - i), 0)
+                        left = memo[(k, a_left, min(bb, k), c, min(dl, k))] if k else 1
+                        k, br = m - i, max(bb - i, 0)
+                        right = memo[(k, aa, min(br, k), c, min(dd, k))] if k else 1
+                        term = left * right
+                        if aa == 0 and bb == 0 and i - 1 >= c and m - i >= dd:
+                            term <<= _LIMB
+                        acc += term
+                    memo[key] = acc
+
+
+def _memo_after(*requests):
+    """The recursion memo after cold requests in turn, and the reference's."""
+    clear_recursion_memo()
+    ref: dict = {}
+    for n, pat in requests:
+        q_poly_recursive(n, pat)
+        _reference_fill(ref, n, *natural_pattern(pat, n))
+    return dict(dist_engine._memo), ref
+
+
+_ROWS_PER_CASE = 3000
+
+
+@st.composite
+def fill_requests(draw, c=None):
+    """(n, pattern), n <= 24 and bounds up to n + 2, filling at most
+    _ROWS_PER_CASE rows: c > n and b, d above the row length both occur."""
+    n = draw(st.integers(0, 24))
+    b, d = draw(st.integers(0, n + 2)), draw(st.integers(0, n + 2))
+    if c is None:
+        c = draw(st.integers(0, n + 2))
+    per_a = sum((min(b, m) + 1) * (min(d, m) + 1) for m in range(1, n + 1))
+    a_max = min(n + 2, _ROWS_PER_CASE // max(per_a, 1) - 1)
+    a = draw(st.integers(0, max(a_max, 0)))
+    return n, (a, b, c, d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_fill_matches_the_reference_loop(data):
+    first = data.draw(fill_requests())
+    second = data.draw(fill_requests(c=first[1][2]))  # often reads warm rows
+    new, ref = _memo_after(first)
+    assert new.keys() == ref.keys() and new == ref
+    new, ref = _memo_after(first, second)
+    assert new.keys() == ref.keys() and new == ref
+
+
+def test_fill_matches_the_reference_loop_on_a_large_box():
+    new, ref = _memo_after((24, (8, 8, 8, 8)))
+    assert len(new) == 14_220
+    assert new == ref
 
 
 def test_limb_width_holds_every_coefficient():

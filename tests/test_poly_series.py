@@ -79,6 +79,18 @@ def test_xpoly_eval_at():
 
 
 @settings(max_examples=200)
+@given(xpolys, xpolys)
+def test_xpoly_subtraction(p, q):
+    assert p - q == p + (-q)
+    assert not (p - q).coeffs or (p - q).coeffs[-1] != 0
+    assert (p - p).coeffs == ()
+    short, long_ = XPoly((5, 1)), XPoly((5, 1, 0, 2))
+    assert long_ - short == XPoly((0, 0, 0, 2))
+    assert short - long_ == XPoly((0, 0, 0, -2))
+    assert XPoly((1, 2, 3)) - XPoly((0, 0, 3)) == XPoly((1, 2))  # top limbs cancel
+
+
+@settings(max_examples=200)
 @given(xpolys, xpolys, xpolys, eval_points)
 def test_xpoly_ring_axioms(p, q, r, v):
     assert p + q == q + p
