@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Sequence
 
-from .dist_engine import q_poly_bruteforce, q_poly_recursive, q_series_recursive
+from .dist_engine import q_poly_bruteforce, q_poly_recursive
 from .gf_formulas import dispatch
 from .mmp_stat import swap_b_d
 from .perm_core import (
@@ -519,9 +519,8 @@ def cross_validate(
                     ("reflection-symmetry", pat, n, f"{r} vs reflected {rs}"),
                 )
         gf = dispatch_fn(pat, order)
-        eng = q_series_recursive(pat, order) if rec_fn is q_poly_recursive else None
         for n in range(order + 1):
-            want = rec_fn(n, pat) if eng is None else eng.coeff(n)
+            want = rec_fn(n, pat)
             comparisons += 1
             if gf.coeff(n) != want:
                 return XvalReport(

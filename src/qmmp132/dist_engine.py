@@ -161,10 +161,14 @@ def q_poly_recursive(n: int, pat) -> XPoly:
 def q_series_recursive(pat, N: int) -> TSeries:
     """Series whose t^n coefficient is q_poly_recursive(n, pat), n <= N.
 
-    The order is checked before any row is filled.
+    The order is checked before any row is filled.  One fill to length N
+    builds the row families once; the per-n calls then find their rows,
+    except at lengths n < c, whose rows clamp c to n.
     """
     pat = natural_pattern(pat)
     _check_length(N)
+    if N:
+        _fill(N, *natural_pattern(pat, N))
     return TSeries(N, [q_poly_recursive(n, pat) for n in range(N + 1)])
 
 

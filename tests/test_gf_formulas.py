@@ -22,14 +22,8 @@ from qmmp132.dist_engine import clear_recursion_memo, q_series_recursive
 from qmmp132.gf_formulas import (
     GfRequest,
     clear_gf_cache,
-    series_q1,
-    series_q3,
     series_q13,
-    series_q14,
     series_q23,
-    series_q24,
-    series_q123,
-    series_q124,
     series_q234,
     series_q1234,
 )
@@ -93,47 +87,38 @@ def test_choose_route_validation():
 
 
 def test_dispatch_matches_recursion_on_grid():
-    for pat in natural_patterns(2):
-        series = dispatch(pat, 9)
-        engine = q_series_recursive(pat, 9)
+    for pat in natural_patterns(3):
+        series = dispatch(pat, 12)
+        engine = q_series_recursive(pat, 12)
         assert series == engine, pat
 
 
 def test_each_formula_matches_recursion():
-    N = 9
-    cases = [
-        (series_q1, [(k,) for k in (1, 2, 3)], lambda k: (k, 0, 0, 0)),
-        (series_q3, [(k,) for k in (1, 2, 3)], lambda k: (0, 0, k, 0)),
-        (series_q13, [(1, 1), (2, 1), (1, 2), (3, 2)], lambda k, m: (k, 0, m, 0)),
-        (series_q14, [(1, 1), (2, 1), (1, 2), (2, 2)], lambda k, m: (k, 0, 0, m)),
-        (series_q23, [(1, 1), (2, 1), (1, 2), (2, 2)], lambda k, m: (0, k, m, 0)),
-        (series_q24, [(1, 1), (2, 1), (1, 2), (3, 2)], lambda k, m: (0, k, 0, m)),
-        (
-            series_q123,
-            [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)],
-            lambda k, el, m: (k, el, m, 0),
-        ),
-        (
-            series_q234,
-            [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 2)],
-            lambda k, el, m: (0, k, el, m),
-        ),
-        (
-            series_q124,
-            [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)],
-            lambda el, k, m: (el, k, 0, m),
-        ),
-        (
-            series_q1234,
-            [(1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 2, 1)],
-            lambda a, b, c, d: (a, b, c, d),
-        ),
-    ]
-    for fn, arg_sets, to_pattern in cases:
-        for args in arg_sets:
-            got = fn(*args, N)
-            want = q_series_recursive(to_pattern(*args), N)
-            assert got == want, (fn.__name__, args)
+    # each family over the zero bounds it accepts: c = 0 everywhere, a = 0
+    # in series_q13, d = 0 and b = 0 (served by reflection) in series_q1234
+    N = 20
+    cases = {
+        series_q13: [(0, 0, 0, 0), (2, 0, 0, 0), (0, 0, 2, 0), (1, 0, 1, 0), (3, 0, 2, 0)],
+        # (0, b, 0, 0) is served by the recursion, but q23 at c = 0 holds too
+        series_q23: [(0, 1, 1, 0), (0, 2, 1, 0), (0, 1, 2, 0), (0, 2, 2, 0)]
+        + [(0, b, 0, 0) for b in range(1, 6)],
+        series_q234: [(0, 1, 0, 1), (0, 3, 0, 2), (0, 1, 1, 1), (0, 2, 1, 1), (0, 2, 2, 2)],
+        series_q1234: [
+            (1, 1, 1, 1),
+            (2, 1, 1, 1),
+            (1, 2, 2, 1),
+            (1, 1, 0, 2),
+            (2, 1, 0, 1),
+            (1, 1, 2, 0),
+            (2, 2, 0, 0),
+            (2, 0, 0, 1),
+            (1, 0, 0, 2),
+            (1, 0, 2, 1),
+        ],
+    }
+    for fn, patterns in cases.items():
+        for pat in patterns:
+            assert fn(pat, N) == q_series_recursive(pat, N), (fn.__name__, pat)
 
 
 def test_high_order_formulas_match_recursion():
@@ -192,15 +177,15 @@ def test_every_route_starts_at_one_and_sums_to_catalan():
 
 
 def test_frozen_coefficients():
-    assert str(series_q123(1, 1, 1, 5).coeff(5)) == "28+12x+2x^2"
-    assert str(series_q123(1, 2, 1, 5).coeff(5)) == "37+5x"
-    assert str(series_q234(1, 1, 1, 4).coeff(4)) == "13+x"
-    assert str(series_q234(1, 2, 1, 6).coeff(6)) == "113+17x+2x^2"
-    assert str(series_q234(2, 2, 2, 8).coeff(8)) == "1328+94x+8x^2"
-    assert str(series_q124(1, 1, 1, 4).coeff(4)) == "10+4x"
-    assert str(series_q124(2, 1, 1, 5).coeff(5)) == "33+9x"
-    assert str(series_q1234(1, 1, 1, 1, 5).coeff(5)) == "38+4x"
-    assert str(series_q1234(3, 1, 1, 1, 7).coeff(7)) == "413+16x"
+    assert str(series_q1234((1, 1, 1, 0), 5).coeff(5)) == "28+12x+2x^2"
+    assert str(series_q1234((1, 2, 1, 0), 5).coeff(5)) == "37+5x"
+    assert str(series_q234((0, 1, 1, 1), 4).coeff(4)) == "13+x"
+    assert str(series_q234((0, 1, 2, 1), 6).coeff(6)) == "113+17x+2x^2"
+    assert str(series_q234((0, 2, 2, 2), 8).coeff(8)) == "1328+94x+8x^2"
+    assert str(series_q1234((1, 1, 0, 1), 4).coeff(4)) == "10+4x"
+    assert str(series_q1234((2, 1, 0, 1), 5).coeff(5)) == "33+9x"
+    assert str(series_q1234((1, 1, 1, 1), 5).coeff(5)) == "38+4x"
+    assert str(series_q1234((3, 1, 1, 1), 7).coeff(7)) == "413+16x"
     assert str(dispatch((2, 1, 0, 2), 6).coeff(6)) == "105+27x"
 
 
@@ -277,14 +262,16 @@ def test_match_free_counts_for_late_saturating_patterns():
 
 
 def test_formula_argument_validation():
-    with pytest.raises(ValueError):
-        series_q3(0, 5)
-    with pytest.raises(ValueError):
-        series_q13(1, 0, 5)
-    with pytest.raises(ValueError):
-        series_q1234(0, 1, 1, 1, 5)
-    with pytest.raises(ValueError):
-        series_q1(-1, 5)
+    outside = {
+        series_q13: [(0, 1, 0, 0), (1, 0, 1, 1), (-1, 0, 0, 0), [1, 0, 0, 0]],
+        series_q23: [(0, 0, 1, 0), (1, 1, 1, 0), (0, 1, 1, 1), (0, True, 1, 0)],
+        series_q234: [(0, 1, 1, 0), (0, 0, 1, 1), (1, 1, 1, 1), (0, 1, 1)],
+        series_q1234: [(0, 1, 1, 1), (1, 0, 1, 0), (0, 0, 0, 0), (1, 1, EMPTY, 1)],
+    }
+    for fn, patterns in outside.items():
+        for pat in patterns:
+            with pytest.raises(ValueError):
+                fn(pat, 5)
 
 
 def test_q_poly_gf():
