@@ -5,10 +5,19 @@ Both functions take a pattern of four nonnegative integer quadrant bounds
 
     Q_n(x) = sum over sigma in S_n(132) of x^(mmp count of sigma).
 
-Brute force enumerates S_n(132) as a numpy array, counts the four quadrant
-populations of every position of every permutation in one vectorized pass,
-and histograms the per-permutation match counts.  Counts stay below 2^63
-through the enumeration cap, so int64 histogram bins are exact.
+Brute force enumerates S_n(132) as a numpy array and compares points for
+one count only: q1, the points right of and above each position, built
+position-major with one C-level pass per pair of positions.  The other
+three follow by counting points by value and by position: at 0-based
+position p with value v, n - v points lie above, p to the left and
+n - 1 - p to the right, so
+
+    q2 = (n - v) - q1,    q3 = p - q2,    q4 = (n - 1 - p) - q1.
+
+No 132 structure is used, so brute force stays independent of the
+recursion.  Each nonzero bound is one comparison; the per-permutation match
+counts are histogrammed.  Counts stay below 2^63 through the enumeration
+cap, so int64 histogram bins are exact.
 
 The recursion works on the position i of the maximal value n.  In a
 132-avoider, sigma = A n B where A occupies the top i-1 values and B the
@@ -182,21 +191,25 @@ def clear_recursion_memo() -> None:
 
 _CACHE_N_MAX = 12  # arrays this small are kept; larger ones are rebuilt per call
 _avoider_arrays: dict[int, np.ndarray] = {}
-_count_tensors: dict[int, np.ndarray] = {}
+_count_tensors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def clear_brute_cache() -> None:
-    """Drop cached permutation arrays and count tensors (cold-start benchmarks)."""
+    """Drop cached permutation arrays and quadrant counts (cold-start benchmarks)."""
     _avoider_arrays.clear()
     _count_tensors.clear()
 
 
-def avoiders_array(n: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """All of S_n(132) as a (catalan(n), n) int8 array, one row per permutation."""
+def _check_enumeration(n: int, cap: int) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > cap:
         raise ResourceLimitError(f"enumeration of S_{n}(132) exceeds cap {cap}")
+
+
+def avoiders_array(n: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+    """All of S_n(132) as a (catalan(n), n) int8 array, one row per permutation."""
+    _check_enumeration(n, cap)
     built: list[np.ndarray] = []
     for m in range(n + 1):
         cached = _avoider_arrays.get(m)
@@ -225,32 +238,21 @@ def avoiders_array(n: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     return built[n]
 
 
-def _quadrant_count_tensor(perms: np.ndarray) -> np.ndarray:
-    """(M, n, 4) int8 tensor of quadrant populations per permutation/position."""
-    m_total, n = perms.shape
-    out = np.empty((m_total, n, 4), dtype=np.int8)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)  # j strictly right of i
-    lower = upper.T
-    chunk = max(1, 50_000_000 // max(1, n * n))  # ~50 MB of bools at a time
-    for s in range(0, m_total, chunk):
-        block = perms[s : s + chunk]
-        greater = block[:, None, :] > block[:, :, None]  # [m,i,j]: sigma_j > sigma_i
-        smaller = block[:, None, :] < block[:, :, None]
-        out[s : s + chunk, :, 0] = (greater & upper).sum(axis=2, dtype=np.int8)
-        out[s : s + chunk, :, 1] = (greater & lower).sum(axis=2, dtype=np.int8)
-        out[s : s + chunk, :, 2] = (smaller & lower).sum(axis=2, dtype=np.int8)
-        out[s : s + chunk, :, 3] = (smaller & upper).sum(axis=2, dtype=np.int8)
-    return out
-
-
-def _counts_for(n: int, cap: int) -> np.ndarray:
+def _counts_for(n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values and quadrant-I counts of S_n(132), each an (n, catalan(n)) int8
+    array indexed [position, permutation]."""
     cached = _count_tensors.get(n)
     if cached is not None:
         return cached
-    tensor = _quadrant_count_tensor(avoiders_array(n, cap))
+    cols = np.ascontiguousarray(avoiders_array(n, cap).T)
+    q1 = np.zeros_like(cols)
+    for i in range(n):
+        acc = q1[i]
+        for j in range(i + 1, n):
+            acc += cols[j] > cols[i]
     if n <= _CACHE_N_MAX:
-        _count_tensors[n] = tensor
-    return tensor
+        _count_tensors[n] = cols, q1
+    return cols, q1
 
 
 def q_poly_bruteforce(n: int, pat, cap: int = DEFAULT_ENUM_CAP) -> XPoly:
@@ -261,15 +263,25 @@ def q_poly_bruteforce(n: int, pat, cap: int = DEFAULT_ENUM_CAP) -> XPoly:
     >>> print(q_poly_bruteforce(2, (1, 1, 0, 1)))
     2
     """
-    pat = natural_pattern(pat, n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise ResourceLimitError(f"enumeration of S_{n}(132) exceeds cap {cap}")
+    a, b, c, d = natural_pattern(pat, n)
+    _check_enumeration(n, cap)
     if n == 0:
         return ONE
-    counts = _counts_for(n, cap)
-    # bounds are clamped to n, so huge ones still fit the array dtype
-    matches = (counts >= np.asarray(pat, dtype=np.int64)).all(axis=2)
-    hist = np.bincount(matches.sum(axis=1), minlength=n + 1)
+    cols, q1 = _counts_for(n, cap)
+    # at 0-based position p with value v: n - v points lie above, p to the
+    # left and n - 1 - p to the right; bounds are clamped to n, and no length
+    # that can be enumerated reaches 128, so bounds and counts fit int8
+    p = np.arange(n, dtype=np.int8)[:, None]
+    ok = np.ones(q1.shape, dtype=bool)
+    if a:
+        ok &= q1 >= a
+    if b or c:
+        q2 = (n - cols) - q1
+        if b:
+            ok &= q2 >= b
+        if c:
+            ok &= p - q2 >= c
+    if d:
+        ok &= (n - 1 - p) - q1 >= d
+    hist = np.bincount(ok.sum(axis=0), minlength=n + 1)
     return XPoly(int(h) for h in hist)

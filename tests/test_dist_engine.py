@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,7 @@ from qmmp132.dist_engine import (
     clear_brute_cache,
     clear_recursion_memo,
 )
-from qmmp132.mmp_stat import EMPTY, natural_pattern, swap_b_d
+from qmmp132.mmp_stat import EMPTY, natural_pattern, quadrant_counts, swap_b_d
 from qmmp132.perm_core import gen_avoiders
 
 
@@ -237,3 +240,61 @@ def test_cache_clearing_is_idempotent():
     clear_brute_cache()
     assert q_poly_recursive(8, (1, 1, 1, 1)) == before
     assert q_poly_bruteforce(8, (1, 1, 1, 1)) == before
+
+
+def test_one_count_and_three_identities_give_every_quadrant():
+    """q1 by comparison, q2..q4 by counting points by value and by position."""
+    for n in range(1, 9):
+        cols, q1 = dist_engine._counts_for(n, DEFAULT_ENUM_CAP)
+        assert cols.shape == q1.shape == (n, catalan(n))
+        assert (cols.T == avoiders_array(n)).all()
+        for m, perm in enumerate(avoiders_array(n).tolist()):
+            for p, v in enumerate(perm):
+                one = int(q1[p, m])
+                two = (n - v) - one
+                derived = (one, two, p - two, (n - 1 - p) - one)
+                assert derived == quadrant_counts(perm, p + 1), (perm, p)
+
+
+def _random_patterns(rng, n, k):
+    """k patterns whose bounds are often 0 and often n or more (clamped)."""
+    choices = [0, 0, 1, 1, 2, 3, 4, n, n + 1, 3 * n]
+    fixed = [(0, 0, 0, 0), (1, 1, 1, 1), (0, n, 0, n + 7), (2, 0, 3 * n, 1)]
+    return fixed + [tuple(rng.choice(choices) for _ in range(4)) for _ in range(k)]
+
+
+def test_bruteforce_matches_recursion_at_12_cold_then_warm():
+    rng = random.Random(1312)
+    clear_brute_cache()
+    for k, pat in enumerate(_random_patterns(rng, 12, 16)):
+        if k:
+            assert 12 in dist_engine._count_tensors  # served warm
+        assert q_poly_bruteforce(12, pat) == q_poly_recursive(12, pat), pat
+
+
+def test_bruteforce_matches_recursion_at_13_uncached():
+    rng = random.Random(1313)
+    for pat in _random_patterns(rng, 13, 4):
+        assert q_poly_bruteforce(13, pat) == q_poly_recursive(13, pat), pat
+    assert 13 not in dist_engine._count_tensors
+
+
+def test_bruteforce_memory_peak():
+    """No (M, n, n) comparison tensor: a cold n = 12 stays far below the
+    101 MiB the full quadrant tensor needed (numpy reports to tracemalloc)."""
+    clear_brute_cache()
+    tracemalloc.start()
+    try:
+        q_poly_bruteforce(12, (1, 1, 1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, peak
+
+
+def test_warm_cache_does_not_bypass_the_enumeration_cap():
+    q_poly_bruteforce(8, (1, 0, 1, 0))
+    with pytest.raises(ResourceLimitError, match=r"S_8\(132\) exceeds cap 7"):
+        q_poly_bruteforce(8, (1, 0, 1, 0), cap=7)
+    with pytest.raises(ResourceLimitError, match=r"S_8\(132\) exceeds cap 7"):
+        avoiders_array(8, cap=7)
