@@ -61,9 +61,14 @@ and a reversed slice, summed in C; when a' = b' = 0 it is split at
 i = c + 1 and the part where n matches is shifted up one limb.  Only the
 edge terms are summed by an interpreted loop.  Rows are unpacked by the
 series kernel's balanced `poly_series._unpack`, the one unpack in the
-package.  All coefficients are nonnegative and bounded by the Catalan
-number C_n, so a limb whose signed range holds C_64 (its bit length plus
-a sign bit) makes the packing lossless.
+package.  All coefficients are nonnegative and a row of length m sums to
+the Catalan number C_m, so every coefficient of every row up to length n,
+and of every partial sum of the fill, is at most C_n.  The memo's limb is
+`poly_series._width(C_n)`, the width rule the series kernel uses, sized
+for the first request on an empty memo.  A longer request on a warm memo
+widens it once, straight to the width for RECURSION_N_MAX, repacking every
+row in place; so a loop over increasing n repacks at most once before the
+next clear.
 """
 
 from __future__ import annotations
@@ -73,15 +78,15 @@ from operator import mul
 import numpy as np
 
 from .mmp_stat import natural_pattern
-from .perm_core import DEFAULT_ENUM_CAP, ResourceLimitError
-from .poly_series import ONE, TSeries, XPoly, _unpack
+from .perm_core import DEFAULT_ENUM_CAP, ResourceLimitError, catalan
+from .poly_series import ONE, TSeries, XPoly, _pack, _unpack, _width
 
 #: largest length the packed-limb table accepts
 RECURSION_N_MAX = 64
 
-_LIMB = 128  # bits per packed coefficient; C_64 needs 119 plus a sign bit
-
 _memo: dict[tuple[int, int, int, int, int], int] = {}
+_limb = 0  # bits per packed coefficient of every row in _memo
+_cover = -1  # the longest length whose rows _limb holds
 
 # ---------------------------------------------------------------------------
 # structural recursion
@@ -125,7 +130,7 @@ def _fill(n: int, a: int, b: int, c: int, d: int) -> None:
                     if aa == 0 and bb == 0:  # n matches from i = c + 1 on
                         split = min(max(c + 1, mid), hi + 1)
                         acc = _dot(lmid, rmid, m, mid, split - 1)
-                        acc += _dot(lmid, rmid, m, split, hi) << _LIMB
+                        acc += _dot(lmid, rmid, m, split, hi) << _limb
                     else:
                         acc = _dot(lmid, rmid, m, mid, hi)
                     for i in range(1, mid):
@@ -151,6 +156,18 @@ def _check_length(n: int) -> None:
         )
 
 
+def _hold(n: int) -> None:
+    """Make the memo's limb hold rows of length n: coefficients are <= C_n."""
+    global _limb, _cover
+    if not _memo:
+        _limb, _cover = _width(catalan(n)), n
+    elif n > _cover:  # widen once, to the longest length accepted
+        limb = _width(catalan(RECURSION_N_MAX))
+        for key, z in _memo.items():
+            _memo[key] = _pack(_unpack(z, _limb).coeffs, limb)
+        _limb, _cover = limb, RECURSION_N_MAX
+
+
 def q_poly_recursive(n: int, pat) -> XPoly:
     """Q_n(x) by the memoized structural recursion.
 
@@ -163,8 +180,9 @@ def q_poly_recursive(n: int, pat) -> XPoly:
     _check_length(n)
     if n == 0:
         return ONE
+    _hold(n)
     _fill(n, a, b, c, d)
-    return _unpack(_memo[(n, a, b, c, d)], _LIMB)
+    return _unpack(_memo[(n, a, b, c, d)], _limb)
 
 
 def q_series_recursive(pat, N: int) -> TSeries:
@@ -177,13 +195,16 @@ def q_series_recursive(pat, N: int) -> TSeries:
     pat = natural_pattern(pat)
     _check_length(N)
     if N:
+        _hold(N)
         _fill(N, *natural_pattern(pat, N))
     return TSeries(N, [q_poly_recursive(n, pat) for n in range(N + 1)])
 
 
 def clear_recursion_memo() -> None:
-    """Drop all memoized rows (used by cold-start benchmarks)."""
+    """Drop all memoized rows and their limb width (cold-start benchmarks)."""
+    global _limb, _cover
     _memo.clear()
+    _limb, _cover = 0, -1
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from qmmp132 import (
 )
 from qmmp132 import dist_engine
 from qmmp132.dist_engine import (
-    _LIMB,
     RECURSION_N_MAX,
     avoiders_array,
     clear_brute_cache,
@@ -30,6 +29,7 @@ from qmmp132.dist_engine import (
 )
 from qmmp132.mmp_stat import EMPTY, natural_pattern, quadrant_counts, swap_b_d
 from qmmp132.perm_core import gen_avoiders
+from qmmp132.poly_series import _width
 
 
 def test_recursion_frozen_examples():
@@ -132,14 +132,18 @@ def test_resource_limits():
 
 def test_series_limits_fail_before_any_row_is_filled():
     clear_recursion_memo()
+    width = dist_engine._limb, dist_engine._cover
     with pytest.raises(ResourceLimitError):
         q_series_recursive((3, 3, 3, 3), 70)
+    with pytest.raises(ResourceLimitError):
+        q_poly_recursive(RECURSION_N_MAX + 1, (3, 3, 3, 3))
     with pytest.raises(ValueError):
         q_series_recursive((3, 3, 3, 3), -1)
     assert dist_engine._memo == {}
+    assert (dist_engine._limb, dist_engine._cover) == width
 
 
-def _reference_fill(memo, n, a, b, c, d):
+def _reference_fill(memo, limb, n, a, b, c, d):
     """The table fill as one triple loop over (m, a', b', d') and i."""
     for m in range(1, n + 1):
         for aa in range(a + 1):
@@ -157,29 +161,30 @@ def _reference_fill(memo, n, a, b, c, d):
                         right = memo[(k, aa, min(br, k), c, min(dd, k))] if k else 1
                         term = left * right
                         if aa == 0 and bb == 0 and i - 1 >= c and m - i >= dd:
-                            term <<= _LIMB
+                            term <<= limb
                         acc += term
                     memo[key] = acc
 
 
 def _memo_after(*requests):
-    """The recursion memo after cold requests in turn, and the reference's."""
+    """The recursion memo after cold requests in turn, the reference's at the
+    width the memo ends with, and the requests' results."""
     clear_recursion_memo()
+    results = [q_poly_recursive(n, pat) for n, pat in requests]
     ref: dict = {}
     for n, pat in requests:
-        q_poly_recursive(n, pat)
-        _reference_fill(ref, n, *natural_pattern(pat, n))
-    return dict(dist_engine._memo), ref
+        _reference_fill(ref, dist_engine._limb, n, *natural_pattern(pat, n))
+    return dict(dist_engine._memo), ref, results
 
 
 _ROWS_PER_CASE = 3000
 
 
 @st.composite
-def fill_requests(draw, c=None):
-    """(n, pattern), n <= 24 and bounds up to n + 2, filling at most
-    _ROWS_PER_CASE rows: c > n and b, d above the row length both occur."""
-    n = draw(st.integers(0, 24))
+def fill_requests(draw, c=None, n_min=0, n_max=24):
+    """(n, pattern), n_min <= n <= n_max and bounds up to n + 2, filling at
+    most _ROWS_PER_CASE rows: c > n and b, d above the row length both occur."""
+    n = draw(st.integers(n_min, n_max))
     b, d = draw(st.integers(0, n + 2)), draw(st.integers(0, n + 2))
     if c is None:
         c = draw(st.integers(0, n + 2))
@@ -194,23 +199,51 @@ def fill_requests(draw, c=None):
 def test_fill_matches_the_reference_loop(data):
     first = data.draw(fill_requests())
     second = data.draw(fill_requests(c=first[1][2]))  # often reads warm rows
-    new, ref = _memo_after(first)
+    new, ref, _ = _memo_after(first)
     assert new.keys() == ref.keys() and new == ref
-    new, ref = _memo_after(first, second)
+    new, ref, _ = _memo_after(first, second)
     assert new.keys() == ref.keys() and new == ref
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_a_longer_request_widens_the_warm_memo_once(data):
+    first = data.draw(fill_requests(n_min=1, n_max=23))
+    longer = data.draw(fill_requests(c=first[1][2], n_min=first[0] + 1))
+    requests = [first, longer] + data.draw(st.lists(fill_requests(), max_size=1))
+    new, ref, results = _memo_after(*requests)
+    assert dist_engine._limb == _width(catalan(RECURSION_N_MAX))
+    assert list(new) == list(ref) and new == ref  # repacked in place, in order
+    for (n, pat), q in zip(requests, results):
+        clear_recursion_memo()
+        assert q == q_poly_recursive(n, pat), (n, pat)
+
+
+def test_a_cleared_memo_is_sized_for_its_next_request():
+    clear_recursion_memo()
+    q_poly_recursive(10, (1, 0, 0, 1))
+    assert dist_engine._limb == _width(catalan(10))
+    q_poly_recursive(RECURSION_N_MAX, (1, 0, 0, 1))
+    assert dist_engine._limb == _width(catalan(RECURSION_N_MAX))
+    clear_recursion_memo()
+    assert q_poly_recursive(40, (1, 1, 1, 1)).eval_at(1) == catalan(40)
+    assert (dist_engine._limb, dist_engine._cover) == (_width(catalan(40)), 40)
 
 
 def test_fill_matches_the_reference_loop_on_a_large_box():
-    new, ref = _memo_after((24, (8, 8, 8, 8)))
+    new, ref, _ = _memo_after((24, (8, 8, 8, 8)))
     assert len(new) == 14_220
     assert new == ref
 
 
 def test_limb_width_holds_every_coefficient():
-    # coefficients are at most C_n, and a balanced limb spends one bit on sign
-    assert catalan(RECURSION_N_MAX).bit_length() + 1 < _LIMB
-    q = q_poly_recursive(RECURSION_N_MAX, (0, 0, 0, 0))
-    assert q == XPoly.x_power(RECURSION_N_MAX, catalan(RECURSION_N_MAX))
+    # (0,0,0,0) puts all C_n permutations in one coefficient: the top limb
+    # holds the bound itself, so a limb one bit short of it fails here
+    for n in range(1, RECURSION_N_MAX + 1):
+        clear_recursion_memo()
+        q = q_poly_recursive(n, (0, 0, 0, 0))
+        assert dist_engine._limb == _width(catalan(n))
+        assert q == XPoly.x_power(n, catalan(n)), n
 
 
 def test_recursion_reaches_large_lengths():
