@@ -407,21 +407,20 @@ class EquivalenceReport:
 
 
 def classical_equivalence_check(
-    pattern,
-    forbidden: Iterable,
-    n_max: int,
-    cap: int = CLASSICAL_SCAN_CAP,
+    pattern, forbidden: Iterable, n_max: int
 ) -> EquivalenceReport:
     """Compare the x=0 column with a classical multi-avoidance count.
 
     ``forbidden`` is a collection of classical patterns (tuples or
     strings accepted by the permutation parser); the right-hand side
     counts permutations of S_n avoiding every one of them, by direct
-    scan (cap-limited), with a fast path when 132 itself is forbidden.
+    scan (n_max <= CLASSICAL_SCAN_CAP), with a fast path when 132 itself
+    is forbidden.
     """
-    if n_max > cap:
+    if n_max > CLASSICAL_SCAN_CAP:
         raise ResourceLimitError(
-            f"classical avoidance scan capped at n={cap}; asked for {n_max}"
+            f"classical avoidance scan capped at n={CLASSICAL_SCAN_CAP}; "
+            f"asked for {n_max}"
         )
     pats = tuple(
         reduce_word(p if isinstance(p, tuple) else parse_perm(p)) for p in forbidden

@@ -5,19 +5,21 @@ Both functions take a pattern of four nonnegative integer quadrant bounds
 
     Q_n(x) = sum over sigma in S_n(132) of x^(mmp count of sigma).
 
-Brute force enumerates S_n(132) as a numpy array and compares points for
-one count only: q1, the points right of and above each position, built
-position-major with one C-level pass per pair of positions.  The other
-three follow by counting points by value and by position: at 0-based
-position p with value v, n - v points lie above, p to the left and
-n - 1 - p to the right, so
+Brute force accepts n <= 14 (perm_core.DEFAULT_ENUM_CAP), a fixed limit
+checked before any work.  It enumerates S_n(132) position-major, as an
+(n, C_n) numpy array, and compares points for one count only: q1, the
+points right of and above each position, with one C-level pass per pair
+of positions.  One table per length is kept, for n <= 12: the values and
+q1.  The other three follow by counting points by value and by position:
+at 0-based position p with value v, n - v points lie above, p to the left
+and n - 1 - p to the right, so
 
     q2 = (n - v) - q1,    q3 = p - q2,    q4 = (n - 1 - p) - q1.
 
 No 132 structure is used, so brute force stays independent of the
 recursion.  Each nonzero bound is one comparison; the per-permutation match
 counts are histogrammed.  Counts stay below 2^63 through the enumeration
-cap, so int64 histogram bins are exact.
+limit, so int64 histogram bins are exact.
 
 The recursion works on the position i of the maximal value n.  In a
 132-avoider, sigma = A n B where A occupies the top i-1 values and B the
@@ -78,7 +80,7 @@ from operator import mul
 import numpy as np
 
 from .mmp_stat import natural_pattern
-from .perm_core import DEFAULT_ENUM_CAP, ResourceLimitError, catalan
+from .perm_core import ResourceLimitError, catalan, check_enumeration
 from .poly_series import ONE, TSeries, XPoly, _pack, _unpack, _width
 
 #: largest length the packed-limb table accepts
@@ -86,7 +88,6 @@ RECURSION_N_MAX = 64
 
 _memo: dict[tuple[int, int, int, int, int], int] = {}
 _limb = 0  # bits per packed coefficient of every row in _memo
-_cover = -1  # the longest length whose rows _limb holds
 
 # ---------------------------------------------------------------------------
 # structural recursion
@@ -157,15 +158,19 @@ def _check_length(n: int) -> None:
 
 
 def _hold(n: int) -> None:
-    """Make the memo's limb hold rows of length n: coefficients are <= C_n."""
-    global _limb, _cover
+    """Make the memo's limb hold rows of length n: coefficients are <= C_n.
+
+    C_{n+1} >= 2 C_n for n >= 1, so the width rises strictly with n and a
+    limb narrower than C_n's width holds no row of length n.
+    """
+    global _limb
     if not _memo:
-        _limb, _cover = _width(catalan(n)), n
-    elif n > _cover:  # widen once, to the longest length accepted
+        _limb = _width(catalan(n))
+    elif _width(catalan(n)) > _limb:  # widen once, to the longest length accepted
         limb = _width(catalan(RECURSION_N_MAX))
         for key, z in _memo.items():
             _memo[key] = _pack(_unpack(z, _limb).coeffs, limb)
-        _limb, _cover = limb, RECURSION_N_MAX
+        _limb = limb
 
 
 def q_poly_recursive(n: int, pat) -> XPoly:
@@ -202,70 +207,53 @@ def q_series_recursive(pat, N: int) -> TSeries:
 
 def clear_recursion_memo() -> None:
     """Drop all memoized rows and their limb width (cold-start benchmarks)."""
-    global _limb, _cover
+    global _limb
     _memo.clear()
-    _limb, _cover = 0, -1
+    _limb = 0
 
 
 # ---------------------------------------------------------------------------
 # brute force
 
-_CACHE_N_MAX = 12  # arrays this small are kept; larger ones are rebuilt per call
-_avoider_arrays: dict[int, np.ndarray] = {}
+_CACHE_N_MAX = 12  # counts this small are kept; larger ones are rebuilt per call
 _count_tensors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def clear_brute_cache() -> None:
-    """Drop cached permutation arrays and quadrant counts (cold-start benchmarks)."""
-    _avoider_arrays.clear()
+    """Drop cached quadrant counts (cold-start benchmarks)."""
     _count_tensors.clear()
 
 
-def _check_enumeration(n: int, cap: int) -> None:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise ResourceLimitError(f"enumeration of S_{n}(132) exceeds cap {cap}")
+def avoiders_array(n: int) -> np.ndarray:
+    """All of S_n(132) as a (catalan(n), n) int8 array, one row per permutation.
+
+    Built from scratch for every length up to n, each length position-major
+    as an (m, catalan(m)) array; the result is a transposed view of the last.
+    """
+    check_enumeration(n)
+    built = [np.zeros((0, 1), dtype=np.int8)]
+    for m in range(1, n + 1):
+        parts = []
+        for i in range(1, m + 1):  # position of the value m
+            left = built[i - 1]
+            right = built[m - i]
+            ml, mr = left.shape[1], right.shape[1]
+            block = np.empty((m, ml * mr), dtype=np.int8)
+            block[: i - 1] = np.repeat(left + (m - i), mr, axis=1)
+            block[i - 1] = m
+            block[i:] = np.tile(right, (1, ml))
+            parts.append(block)
+        built.append(np.concatenate(parts, axis=1))
+    return built[n].T
 
 
-def avoiders_array(n: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """All of S_n(132) as a (catalan(n), n) int8 array, one row per permutation."""
-    _check_enumeration(n, cap)
-    built: list[np.ndarray] = []
-    for m in range(n + 1):
-        cached = _avoider_arrays.get(m)
-        if cached is not None:
-            built.append(cached)
-            continue
-        if m == 0:
-            arr = np.zeros((1, 0), dtype=np.int8)
-        else:
-            parts = []
-            for i in range(1, m + 1):  # position of the value m
-                left = built[i - 1]
-                right = built[m - i]
-                ml, mr = left.shape[0], right.shape[0]
-                block = np.empty((ml * mr, m), dtype=np.int8)
-                if i > 1:
-                    block[:, : i - 1] = np.repeat(left + (m - i), mr, axis=0)
-                block[:, i - 1] = m
-                if i < m:
-                    block[:, i:] = np.tile(right, (ml, 1))
-                parts.append(block)
-            arr = np.concatenate(parts)
-        if m <= _CACHE_N_MAX:
-            _avoider_arrays[m] = arr
-        built.append(arr)
-    return built[n]
-
-
-def _counts_for(n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _counts_for(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Values and quadrant-I counts of S_n(132), each an (n, catalan(n)) int8
     array indexed [position, permutation]."""
     cached = _count_tensors.get(n)
     if cached is not None:
         return cached
-    cols = np.ascontiguousarray(avoiders_array(n, cap).T)
+    cols = avoiders_array(n).T
     q1 = np.zeros_like(cols)
     for i in range(n):
         acc = q1[i]
@@ -276,7 +264,7 @@ def _counts_for(n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     return cols, q1
 
 
-def q_poly_bruteforce(n: int, pat, cap: int = DEFAULT_ENUM_CAP) -> XPoly:
+def q_poly_bruteforce(n: int, pat) -> XPoly:
     """Q_n(x) by direct enumeration of S_n(132).
 
     >>> print(q_poly_bruteforce(5, (0, 1, 1, 1)))
@@ -285,10 +273,10 @@ def q_poly_bruteforce(n: int, pat, cap: int = DEFAULT_ENUM_CAP) -> XPoly:
     2
     """
     a, b, c, d = natural_pattern(pat, n)
-    _check_enumeration(n, cap)
+    check_enumeration(n)
     if n == 0:
         return ONE
-    cols, q1 = _counts_for(n, cap)
+    cols, q1 = _counts_for(n)
     # at 0-based position p with value v: n - v points lie above, p to the
     # left and n - 1 - p to the right; bounds are clamped to n, and no length
     # that can be enumerated reaches 128, so bounds and counts fit int8

@@ -24,12 +24,12 @@ from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 
-#: Largest n accepted by gen_avoiders unless the caller raises the cap.
+#: Largest n any enumeration of S_n(132) accepts, a fixed limit.
 DEFAULT_ENUM_CAP = 14
 
 
 class ResourceLimitError(Exception):
-    """Requested computation exceeds a configured size cap."""
+    """Requested computation exceeds a fixed size limit."""
 
 
 def catalan(n: int) -> int:
@@ -87,7 +87,17 @@ def avoids_132(p: Sequence[int]) -> bool:
     return True
 
 
-def gen_avoiders(n: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Perm]:
+def check_enumeration(n: int) -> None:
+    """Reject a length no enumeration of S_n(132) accepts, before any work."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > DEFAULT_ENUM_CAP:
+        raise ResourceLimitError(
+            f"enumeration of S_{n}(132) exceeds cap {DEFAULT_ENUM_CAP}"
+        )
+
+
+def gen_avoiders(n: int) -> Iterator[Perm]:
     """Yield every member of S_n(132) exactly once, streaming.
 
     Recursive by position of the maximal value; O(1) amortized work per
@@ -96,10 +106,7 @@ def gen_avoiders(n: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Perm]:
     >>> sorted(gen_avoiders(3))
     [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise ResourceLimitError(f"enumeration of S_{n}(132) exceeds cap {cap}")
+    check_enumeration(n)
     return _gen(n)
 
 
@@ -114,9 +121,9 @@ def _gen(n: int) -> Iterator[Perm]:
                 yield tuple(v + shift for v in left) + (n,) + right
 
 
-def count_avoiders(n: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+def count_avoiders(n: int) -> int:
     """Stream length of gen_avoiders(n); equals catalan(n)."""
-    return sum(1 for _ in gen_avoiders(n, cap))
+    return sum(1 for _ in gen_avoiders(n))
 
 
 def contains_classical(p: Sequence[int], pat: Sequence[int]) -> bool:
@@ -184,12 +191,12 @@ def format_perm(p: Sequence[int]) -> str:
 
 
 def avoiders_after_also_avoiding(
-    n: int, extra_patterns: Iterable[Sequence[int]], cap: int = DEFAULT_ENUM_CAP
+    n: int, extra_patterns: Iterable[Sequence[int]]
 ) -> int:
     """Count S_n(132) members that also avoid every pattern in extra_patterns."""
     pats = [reduce_word(q) for q in extra_patterns]
     count = 0
-    for p in gen_avoiders(n, cap):
+    for p in gen_avoiders(n):
         if all(not contains_classical(p, q) for q in pats):
             count += 1
     return count

@@ -118,15 +118,10 @@ class XPoly:
         return XPoly(out)
 
     def __mul__(self, other: "XPoly") -> "XPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return XPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for r, ca in enumerate(a):
-            if ca:
-                for s, cb in enumerate(b):
-                    out[r + s] += ca * cb
-        return XPoly(out)
+        """One big-integer product; every output coefficient is at most
+        |self|_1 * |other|_inf, the bound TSeries.__mul__ uses."""
+        L = _width(_norm1(self) * max(map(abs, other.coeffs), default=0))
+        return _unpack(_pack(self.coeffs, L) * _pack(other.coeffs, L), L)
 
     def scale(self, c: int) -> "XPoly":
         return XPoly(c * v for v in self.coeffs)
@@ -350,6 +345,7 @@ class TSeries:
         """Multiply by t^k at fixed order (top k coefficients fall off)."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
+        k = min(k, self.order + 1)
         return TSeries(self.order, (ZERO,) * k + self.coeffs[: self.order + 1 - k])
 
     def reciprocal(self) -> "TSeries":

@@ -31,6 +31,8 @@ from qmmp132.mmp_stat import EMPTY, natural_pattern, quadrant_counts, swap_b_d
 from qmmp132.perm_core import gen_avoiders
 from qmmp132.poly_series import _width
 
+OVER_LIMIT = r"^enumeration of S_15\(132\) exceeds cap 14$"  # the one error text
+
 
 def test_recursion_frozen_examples():
     assert str(q_poly_recursive(4, (1, 1, 1, 0))) == "12+2x"
@@ -123,16 +125,13 @@ def test_validation_errors():
 def test_resource_limits():
     with pytest.raises(ResourceLimitError):
         q_poly_recursive(RECURSION_N_MAX + 1, (1, 1, 1, 1))
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=OVER_LIMIT):
         q_poly_bruteforce(DEFAULT_ENUM_CAP + 1, (1, 1, 1, 1))
-    # a caller-supplied cap overrides the default
-    with pytest.raises(ResourceLimitError):
-        q_poly_bruteforce(6, (1, 1, 1, 1), cap=5)
 
 
 def test_series_limits_fail_before_any_row_is_filled():
     clear_recursion_memo()
-    width = dist_engine._limb, dist_engine._cover
+    width = dist_engine._limb
     with pytest.raises(ResourceLimitError):
         q_series_recursive((3, 3, 3, 3), 70)
     with pytest.raises(ResourceLimitError):
@@ -140,7 +139,7 @@ def test_series_limits_fail_before_any_row_is_filled():
     with pytest.raises(ValueError):
         q_series_recursive((3, 3, 3, 3), -1)
     assert dist_engine._memo == {}
-    assert (dist_engine._limb, dist_engine._cover) == width
+    assert dist_engine._limb == width
 
 
 def _reference_fill(memo, limb, n, a, b, c, d):
@@ -227,7 +226,7 @@ def test_a_cleared_memo_is_sized_for_its_next_request():
     assert dist_engine._limb == _width(catalan(RECURSION_N_MAX))
     clear_recursion_memo()
     assert q_poly_recursive(40, (1, 1, 1, 1)).eval_at(1) == catalan(40)
-    assert (dist_engine._limb, dist_engine._cover) == (_width(catalan(40)), 40)
+    assert dist_engine._limb == _width(catalan(40))
 
 
 def test_fill_matches_the_reference_loop_on_a_large_box():
@@ -258,12 +257,16 @@ def test_avoiders_array_matches_generator():
         assert arr.shape == (catalan(n), n)
         assert arr.dtype == np.int8
         assert {tuple(int(v) for v in row) for row in arr} == set(gen_avoiders(n))
+    # rows go by position of the maximal value, then left block, then right
+    assert avoiders_array(3).tolist() == [
+        [3, 2, 1], [3, 1, 2], [2, 3, 1], [2, 1, 3], [1, 2, 3]
+    ]
 
 
 def test_avoiders_array_limits():
     with pytest.raises(ValueError):
         avoiders_array(-1)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=OVER_LIMIT):
         avoiders_array(DEFAULT_ENUM_CAP + 1)
 
 
@@ -278,7 +281,7 @@ def test_cache_clearing_is_idempotent():
 def test_one_count_and_three_identities_give_every_quadrant():
     """q1 by comparison, q2..q4 by counting points by value and by position."""
     for n in range(1, 9):
-        cols, q1 = dist_engine._counts_for(n, DEFAULT_ENUM_CAP)
+        cols, q1 = dist_engine._counts_for(n)
         assert cols.shape == q1.shape == (n, catalan(n))
         assert (cols.T == avoiders_array(n)).all()
         for m, perm in enumerate(avoiders_array(n).tolist()):
@@ -325,9 +328,12 @@ def test_bruteforce_memory_peak():
     assert peak < 40 * 2**20, peak
 
 
-def test_warm_cache_does_not_bypass_the_enumeration_cap():
-    q_poly_bruteforce(8, (1, 0, 1, 0))
-    with pytest.raises(ResourceLimitError, match=r"S_8\(132\) exceeds cap 7"):
-        q_poly_bruteforce(8, (1, 0, 1, 0), cap=7)
-    with pytest.raises(ResourceLimitError, match=r"S_8\(132\) exceeds cap 7"):
-        avoiders_array(8, cap=7)
+def test_warm_cache_does_not_bypass_the_enumeration_cap(monkeypatch):
+    q_poly_bruteforce(12, (1, 0, 1, 0))
+    assert 12 in dist_engine._count_tensors
+    # the one check runs before any cache read or table build
+    monkeypatch.setattr("qmmp132.perm_core.DEFAULT_ENUM_CAP", 11)
+    with pytest.raises(ResourceLimitError, match=r"S_12\(132\) exceeds cap 11"):
+        q_poly_bruteforce(12, (1, 0, 1, 0))
+    with pytest.raises(ResourceLimitError, match=r"S_12\(132\) exceeds cap 11"):
+        avoiders_array(12)

@@ -6,6 +6,8 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import natural_patterns
 from qmmp132 import (
@@ -15,7 +17,9 @@ from qmmp132 import (
     catalan,
     choose_route,
     dispatch,
+    q_poly_bruteforce,
     q_poly_gf,
+    q_poly_recursive,
     rational_series,
 )
 from qmmp132.dist_engine import clear_recursion_memo, q_series_recursive
@@ -148,6 +152,25 @@ def test_cold_order_60_formula_route_is_fast():
 def test_reflection_symmetry_of_dispatch():
     for pat in natural_patterns(2):
         assert dispatch(pat, 8) == dispatch(swap_b_d(pat), 8), pat
+
+
+@st.composite
+def lengths_and_bounds(draw):
+    """n <= 10 with bounds up to n + 3: zero, saturating and unsatisfiable."""
+    n = draw(st.integers(0, 10))
+    return n, tuple(draw(st.integers(0, n + 3)) for _ in range(4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lengths_and_bounds())
+@example((1, (0, 0, 1, 5)))  # a bound two above the order: shift past the end
+@example((4, (0, 6, 0, 0)))  # served by reflection
+def test_three_engines_agree_on_random_inputs(case):
+    n, pat = case
+    q = q_poly_bruteforce(n, pat)
+    assert q == q_poly_recursive(n, pat) == dispatch(pat, n).coeff(n)
+    assert q == q_poly_bruteforce(n, swap_b_d(pat))
+    assert q.eval_at(1) == catalan(n)
 
 
 def test_every_route_starts_at_one_and_sums_to_catalan():

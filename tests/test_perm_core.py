@@ -107,12 +107,15 @@ def test_gen_avoiders_members_are_distinct_avoiders():
 
 
 def test_gen_avoiders_enforces_cap():
-    with pytest.raises(ResourceLimitError):
-        list(gen_avoiders(DEFAULT_ENUM_CAP + 1))
-    # explicit cap overrides the default
-    assert count_avoiders(5, cap=5) == 42
-    with pytest.raises(ResourceLimitError):
-        gen_avoiders(6, cap=5)
+    over = r"^enumeration of S_15\(132\) exceeds cap 14$"
+    with pytest.raises(ResourceLimitError, match=over):
+        gen_avoiders(DEFAULT_ENUM_CAP + 1)  # raised at the call, not on iteration
+    with pytest.raises(ResourceLimitError, match=over):
+        count_avoiders(DEFAULT_ENUM_CAP + 1)
+    with pytest.raises(ResourceLimitError, match=over):
+        avoiders_after_also_avoiding(DEFAULT_ENUM_CAP + 1, [(1, 2, 3)])
+    gen_avoiders(DEFAULT_ENUM_CAP)  # the limit itself is accepted
+    assert count_avoiders(5) == 42
 
 
 def test_gen_avoiders_rejects_negative():

@@ -148,6 +148,7 @@ def test_tseries_shift_scale_truncate():
     s = TSeries(3, [1, 2, 3, 4])
     assert s.shift(1).int_coeffs() == [0, 1, 2, 3]
     assert s.shift(0) == s
+    assert s.shift(4) == s.shift(9) == TSeries.zero(3)  # every coefficient falls off
     assert s.scale(2).int_coeffs() == [2, 4, 6, 8]
     assert s.scale(XPoly((0, 1))).coeff(1) == XPoly((0, 2))
     assert s.truncate(2).int_coeffs() == [1, 2, 3]
@@ -252,6 +253,8 @@ def test_packed_mul_and_reciprocal_match_schoolbook(data):
     u = data.draw(series_strategy(order, big_xpolys))
     v = data.draw(series_strategy(order, big_xpolys))
     assert u * v == schoolbook_mul(u, v)
+    p, q = data.draw(big_xpolys), data.draw(big_xpolys)
+    assert p * q == schoolbook_mul(TSeries(0, [p]), TSeries(0, [q])).coeff(0)
     unit = XPoly((data.draw(st.sampled_from((1, -1))),))
     w = TSeries(order, (unit,) + u.coeffs[1:])
     assert w.reciprocal() == schoolbook_reciprocal(w)
