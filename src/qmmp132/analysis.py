@@ -225,10 +225,6 @@ def check_closed_forms(
     return CheckReport(tuple(_run_check(c, n_max) for c in registry))
 
 
-def _binom2(m: int) -> int:
-    return comb(m, 2)
-
-
 def default_registry() -> tuple[ClosedFormCheck, ...]:
     """Every coefficient closed form the package asserts.
 
@@ -270,7 +266,7 @@ def default_registry() -> tuple[ClosedFormCheck, ...]:
     # --- patterns bounding quadrants I, II, III -------------------------
     for m in (1, 2, 3):
         top(f"11{m}0-top", (1, 1, m, 0), 2 + m, lambda n, m=m: 2 * C(m), 3 + m)
-    second("1110-second", (1, 1, 1, 0), 4, lambda n: 6 + 2 * _binom2(n - 2), 5)
+    second("1110-second", (1, 1, 1, 0), 4, lambda n: 6 + 2 * comb(n - 2, 2), 5)
     for m in (2, 3):
         second(
             f"11{m}0-second",
@@ -289,7 +285,7 @@ def default_registry() -> tuple[ClosedFormCheck, ...]:
     # --- patterns bounding quadrants II, III, IV ------------------------
     for el in (1, 2, 3):
         top(f"01{el}1-top", (0, 1, el, 1), 2 + el, lambda n, el=el: C(el), 3 + el)
-    second("0111-second", (0, 1, 1, 1), 4, lambda n: 5 + _binom2(n - 2), 5)
+    second("0111-second", (0, 1, 1, 1), 4, lambda n: 5 + comb(n - 2, 2), 5)
     for el in (2, 3):
         second(
             f"01{el}1-second",
@@ -304,7 +300,7 @@ def default_registry() -> tuple[ClosedFormCheck, ...]:
         "0112-second",
         (0, 1, 1, 2),
         5,
-        lambda n: 13 + 2 * _binom2(n - 3),
+        lambda n: 13 + 2 * comb(n - 3, 2),
         6,
         note="series-validated correction: stated forms 13+binom(n-2,2) and "
         "13+2*binom(n-3,2) disagree between statement and proof; the "
@@ -358,7 +354,7 @@ def default_registry() -> tuple[ClosedFormCheck, ...]:
         "1111-second",
         (1, 1, 1, 1),
         5,
-        lambda n: 17 + 4 * _binom2(n - 3),
+        lambda n: 17 + 4 * comb(n - 3, 2),
         6,
         note="series-validated correction: stated binom(n-3,3); expansions "
         "force binom(n-3,2)",

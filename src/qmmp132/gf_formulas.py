@@ -14,43 +14,30 @@ quadrants they bound:
 
 All of them come from one identity, the block decomposition that also
 powers the structural recursion: writing an avoider as A n B (A above
-B, both avoiders), the position i of the maximum falls into a head
-regime where the b bound of the right factor is still decaying, a
-middle regime where both truncations are spent and the series splits
-into two independent factors, and a tail regime where the d bound of
-the left factor is still decaying.  Each regime becomes a product of
-series for strictly smaller patterns; short runs of Catalan partial
-sums appear wherever a regime forces a block to be unconstrained.
-
-Which regimes exist depends only on which bounds are zero, so the
-identity takes four forms, one function each:
-
-* `series_q13`, (a, 0, c, 0): routes Q1, Q3, Q13.  Only the left block
-  sees the maximum, giving 1 / (1 - t Q(a-1, 0, c, 0)); at a = 0 it
-  bottoms out at the x-marked Catalan series or, for c >= 1, at the
-  quadratic fixed point of `solve_q00k0`.
-* `series_q23`, (0, b, c, 0) with b >= 1: route Q23.  Blocks left of
-  the maximum keep the whole pattern, which the identity divides out.
-* `series_q234`, (0, b, c, d) with b, d >= 1: routes Q24 and Q234.  The
-  middle regime refers to the pattern itself, resolved by 1 / (1 - t).
-* `series_q1234`, (a, b, c, d) with a >= 1 and b + d >= 1: routes Q14,
-  Q123, Q124 and Q1234.  Every regime sees the maximum, so a drops by
-  one in the left factor and nothing refers back to the pattern.  With
-  b = 0 the middle regime's right factor (a, 0, c, d) would be the
-  pattern itself, so such a pattern is computed as its reflection
-  (a, d, c, 0), which has the same series.
+B, both avoiders), the position of the maximum falls into a head
+regime where A is too short to reach the b bound, a tail regime where
+B is too short to reach the d bound, and a middle regime where the
+series splits into two independent factors.  Each regime is a product
+of series for sub-patterns; Catalan partial sums appear wherever a
+regime forces a block to be unconstrained.  `block_series` evaluates
+the identity for any pattern.  At most one of its sub-patterns is the
+pattern itself, and its coefficient is moved to the left side, so the
+identity solves for the pattern's own series; which sub-pattern that is
+depends only on which bounds are zero.  At a = b = 0 the maximum can
+match, and (0, 0, c, 0) bottoms out at the x-marked Catalan series or,
+for c >= 1, at the quadratic fixed point of `solve_q00k0`.
 
 The two single-quadrant shapes (0, b, 0, 0) and (0, 0, 0, d) go to the
 structural recursion (`Route.ENGINE`).
 
-`dispatch` routes an arbitrary all-natural pattern to its family,
-first reflecting (a, b, c, d) -> (a, d, c, b) when the shape has no
-route of its own (reflection corresponds to inverting the permutation,
-which swaps quadrants II and IV and preserves the distribution).  There
-is one cache, at `dispatch`: each series is stored under (reflected
-pattern, order), and a reflected request's own key points at the same
-series.  The family functions are plain formulas that fetch their
-sub-series through `dispatch`.
+`dispatch` clamps every bound to the order, then routes the pattern by
+its zero-shape, first reflecting (a, b, c, d) -> (a, d, c, b) when the
+shape has no route of its own (reflection corresponds to inverting the
+permutation, which swaps quadrants II and IV and preserves the
+distribution).  There is one cache, at `dispatch`: each series is
+stored under (reflected pattern, order), and a reflected request's own
+key points at the same series.  `block_series` fetches its sub-series
+through `dispatch`.
 
 Everything is exact integer arithmetic; results agree coefficient by
 coefficient with the enumeration and recursion engines and are
@@ -79,16 +66,13 @@ __all__ = [
     "choose_route",
     "clear_gf_cache",
     "dispatch",
+    "block_series",
     "q_poly_gf",
-    "series_q13",
-    "series_q23",
-    "series_q234",
-    "series_q1234",
 ]
 
 
 class Route(Enum):
-    """Which zero-shape a pattern has, and so which family serves it."""
+    """Which zero-shape a pattern has, and so how `dispatch` serves it."""
 
     Q1 = "q1"  # (a, 0, 0, 0)
     Q3 = "q3"  # (0, 0, c, 0)
@@ -109,7 +93,7 @@ class GfRequest:
 
     ``pattern`` is the canonical pattern: the request reflected when its
     own shape has no route, which is also the key `dispatch` caches
-    under and what the family function is given.  ``args`` holds the
+    under and what `block_series` is given.  ``args`` holds the
     nonzero bounds of ``pattern`` (the full four-tuple for
     ``Route.ENGINE``); the package does not read it, and it stays because
     the benchmark's span tracer labels requests by it.
@@ -169,14 +153,17 @@ def choose_route(pattern, order: int) -> GfRequest:
 def dispatch(pattern, order: int) -> TSeries:
     """Series of the given order for any all-natural pattern.
 
-    Routing: the family of the pattern's zero-shape, reflection where
-    needed, and the structural recursion for (0, b, 0, 0) / (0, 0, 0, d).
-    The formula route's only cache lives here.  Each series is computed
-    once, under (reflected pattern, order); a reflected request also
-    keeps its own key, pointing at that same series, so a repeat skips
-    the routing.
+    Routing: `block_series`, reflection where the zero-shape needs it,
+    and the structural recursion for (0, b, 0, 0) / (0, 0, 0, d).  Bounds
+    are first clamped to the order: every bound of N or more is equally
+    unsatisfiable up to t^N.  The formula route's only cache lives here.
+    Each series is computed once, under (reflected pattern, order); a
+    reflected request also keeps its own key, pointing at that same
+    series, so a repeat skips the routing.
     """
-    asked = (natural_pattern(pattern), order)
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    asked = (natural_pattern(pattern, order), order)
     out = _cache.get(asked)
     if out is not None:
         return out
@@ -187,7 +174,7 @@ def dispatch(pattern, order: int) -> TSeries:
         if req.route is Route.ENGINE:
             out = q_series_recursive(req.pattern, order)
         else:
-            out = _ROUTE_FN[req.route](req.pattern, order)
+            out = block_series(req.pattern, order)
         _cache[key] = out
     _cache[asked] = out
     return out
@@ -206,124 +193,71 @@ def q_poly_gf(n: int, pattern) -> XPoly:
     return dispatch(pattern, n).coeff(n)
 
 
-def _family(pattern, form: str) -> tuple[int, int, int, int]:
-    """The pattern, checked against a family's form: per bound ``0``
-    (must be zero), ``+`` (must be positive) or ``*`` (any)."""
-    pat = natural_pattern(pattern)
-    for f, v in zip(form, pat):
-        if (f == "0" and v) or (f == "+" and not v):
-            raise ValueError(f"pattern {pat!r} is not of the form ({','.join(form)})")
-    return pat
+def block_series(pattern, order: int) -> TSeries:
+    """Series for any all-natural pattern, from the block identity.
 
+    Write an avoider as A n B with i = |A| and m = |B|.  A point of A has
+    n above-right and B below-right, a point of B has n and A above-left,
+    so A is matched against (a', b, c, d - m) and B against
+    (a, b - i - 1, c, d), where a' = max(a - 1, 0) and a negative bound
+    counts as 0.  With S_j the Catalan partial sum through t^j (zero for
+    j < 0) and a + b >= 1, so that n itself never matches:
 
-def series_q13(pattern, order: int) -> TSeries:
-    """Series for (a, 0, c, 0): bounds on the two main-diagonal quadrants.
+        Q = 1 + t (H + T + M),
+        H = sum_{k <= b-2} C_k t^k Q(a, b-k-1, c, d),
+        T = sum_{r <= d-1} C_r t^r (Q(a', b, c, d-r) - S_{b-2}),
+        M = (Q(a', b, c, 0) - S_{b-2}) (Q(a, 0, c, d) - S_{d-1}).
 
-    Only the block left of the maximum can see the maximum in its first
-    quadrant, so a >= 1 gives 1 / (1 - t * Q(a-1, 0, c, 0)).  At a = 0
-    the series is the x-marked Catalan series when c = 0 (every position
-    matches), else the unique solution with constant term 1 of the
-    quadratic t*x*Q^2 - (1 + (t*x - t)*S)*Q + 1 = 0, S the Catalan
-    partial sum through t^{c-1}.
+    H covers every i <= b - 2, where A is too short to match; T and M
+    cover the rest, T where B is too short to match.  At most one
+    sub-pattern is the pattern itself: (a', b, c, d) at r = 0 when a = 0,
+    (a', b, c, 0) when a = d = 0, or (a, 0, c, d) when b = 0.  Its term
+    is lam (Q - S), with S = S_{b-2}, S_{b-2} or S_{d-1} respectively;
+    with K the other terms, Q - S = (1 - S + t K) / (1 - t lam), which
+    costs one reciprocal and at most one product.
 
-    >>> print(series_q13((1, 0, 1, 0), 4).coeff(4))
+    At a = b = 0, (0, 0, c, 0) is the x-marked Catalan series when c = 0,
+    else the quadratic fixed point of `solve_q00k0`; (0, 0, c, d) with
+    d >= 1 is computed as its reflection (0, d, c, 0).  Bounds are
+    clamped to the order first, as in `dispatch`.
+
+    >>> print(block_series((1, 0, 1, 0), 4).coeff(4))
     8+5x+x^2
-    """
-    a, _, c, _ = _family(pattern, "*0*0")
-    if a == 0:
-        return solve_q00k0(c, order) if c else catalan_xt_series(order)
-    sub = dispatch((a - 1, 0, c, 0), order)
-    return (TSeries.one(order) - sub.shift(1)).reciprocal()
-
-
-def series_q23(pattern, order: int) -> TSeries:
-    """Series for (0, b, c, 0), b >= 1: bounds on both left-side quadrants.
-
-    Blocks left of the maximum keep the full pattern (they sit above
-    everything to their right), so the identity divides out the
-    self-referential part and sums over the head positions where the
-    q2 bound is still decaying.
-    """
-    _, b, c, _ = _family(pattern, "0+*0")
-    one = TSeries.one(order)
-    qc = dispatch((0, 0, c, 0), order)
-    denom = one - qc.shift(1)
-    num = TSeries.t_power(b - 1, order, catalan(b - 1))
-    for j in range(b - 1):
-        head = dispatch((0, b - j - 1, c, 0), order)
-        inner = denom + (head - catalan_partial_sum(b - j - 2, order)).shift(1)
-        num = num + inner.shift(j).scale(catalan(j))
-    return num * denom.reciprocal()
-
-
-def series_q234(pattern, order: int) -> TSeries:
-    """Series for (0, b, c, d), b, d >= 1: no above-right bound.
-
-    Three regimes for the position of the maximum, with c riding along
-    unchanged: a head run where the q2 bound decays (b-reducing sum), a
-    middle regime splitting into independent (0, b, c, 0) x (0, 0, c, d)
-    factors, and a tail run where the q4 bound decays (d-reducing sum).
-    The middle regime references the pattern itself, which the
-    1/(1 - t) factor resolves.
-    """
-    _, b, c, d = _family(pattern, "0+*+")
-    phi = catalan_partial_sum(b + d - 1, order) - catalan_partial_sum(
-        b + d - 2, order
-    ).shift(1)
-    for j in range(b - 1):
-        head = dispatch((0, b - 1 - j, c, d), order)
-        inner = head - catalan_partial_sum(b + d - j - 2, order)
-        phi = phi + inner.shift(j + 1).scale(catalan(j))
-    left = dispatch((0, b, c, 0), order) - catalan_partial_sum(b - 2, order)
-    right = dispatch((0, 0, c, d), order) - catalan_partial_sum(d - 1, order)
-    phi = phi + (left * right).shift(1)
-    for j in range(1, d):
-        tail = dispatch((0, b, c, d - j), order)
-        inner = tail - catalan_partial_sum(b + d - j - 2, order)
-        phi = phi + inner.shift(j + 1).scale(catalan(j))
-    t = TSeries.t_power(1, order)
-    return phi * (TSeries.one(order) - t).reciprocal()
-
-
-def series_q1234(pattern, order: int) -> TSeries:
-    """Series for (a, b, c, d), a >= 1 and b + d >= 1.
-
-    The most general form: every regime sees the maximum, so the left
-    factor drops a by one; the head sum reduces b and the tail sum
-    reduces d, with c riding along.  A pattern with b = 0 is computed as
-    its reflection (a, d, c, 0).
-
-    >>> print(series_q1234((2, 0, 0, 1), 5).coeff(5))
+    >>> print(block_series((2, 0, 0, 1), 5).coeff(5))
     23+13x+6x^2
     """
-    pat = natural_pattern(pattern)
-    a, b, c, d = _family(pat if pat[1] else swap_b_d(pat), "++**")
-    out = catalan_partial_sum(b + d - 1, order)
-    acc = TSeries.zero(order)
-    for i in range(b - 1):
-        head = dispatch((a, b - 1 - i, c, d), order)
-        inner = head - catalan_partial_sum(b - i + d - 2, order)
-        acc = acc + inner.shift(i).scale(catalan(i))
-    left = dispatch((a - 1, b, c, 0), order) - catalan_partial_sum(b - 2, order)
-    right = dispatch((a, 0, c, d), order) - catalan_partial_sum(d - 1, order)
-    acc = acc + left * right
-    for j in range(d):
-        tail = dispatch((a - 1, b, c, d - j), order)
-        inner = tail - catalan_partial_sum(b + d - j - 2, order)
-        acc = acc + inner.shift(j).scale(catalan(j))
-    return out + acc.shift(1)
-
-
-# Route -> family function, read by dispatch at call time
-_ROUTE_FN = {
-    Route.Q1: series_q13,
-    Route.Q3: series_q13,
-    Route.Q13: series_q13,
-    Route.Q23: series_q23,
-    Route.Q24: series_q234,
-    Route.Q234: series_q234,
-    Route.Q14: series_q1234,
-    Route.Q123: series_q1234,
-    Route.Q124: series_q1234,
-    Route.Q1234: series_q1234,
-}
+    pat = natural_pattern(pattern, order)
+    a, b, c, d = pat
+    if a + b == 0:
+        if d:
+            return block_series(swap_b_d(pat), order)
+        return solve_q00k0(c, order) if c else catalan_xt_series(order)
+    a1 = max(a - 1, 0)
+    s_b = catalan_partial_sum(b - 2, order)
+    lam, terms = None, []
+    for k in range(b - 1):
+        head = dispatch((a, b - k - 1, c, d), order)
+        terms.append(head.shift(k).scale(catalan(k)))
+    for r in range(d):
+        if a == r == 0:  # Q(a', b, c, d) is the pattern itself
+            lam, j = TSeries.one(order), b - 2
+            continue
+        tail = dispatch((a1, b, c, d - r), order) - s_b
+        terms.append(tail.shift(r).scale(catalan(r)))
+    if a == d == 0:  # the left factor is the pattern itself
+        lam, j = dispatch((0, 0, c, 0), order), b - 2
+    elif b == 0:  # the right factor is the pattern itself
+        lam, j = dispatch((a1, 0, c, 0), order), d - 1
+    else:
+        left = dispatch((a1, b, c, 0), order) - s_b
+        right = dispatch((a, 0, c, d), order) - catalan_partial_sum(d - 1, order)
+        terms.append(left * right)
+    one = TSeries.one(order)
+    out = one + sum(terms[1:], terms[0]).shift(1) if terms else one
+    if lam is None:
+        return out
+    inv = (one - lam.shift(1)).reciprocal()
+    if j < 0:
+        return out * inv if terms else inv
+    s = catalan_partial_sum(j, order)
+    return (out - s) * inv + s

@@ -48,7 +48,6 @@ class _Empty:
 
 EMPTY = _Empty()
 
-Bound = int | _Empty
 MmpPattern = tuple  # 4-tuple of bounds (a, b, c, d)
 
 

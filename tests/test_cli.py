@@ -85,6 +85,14 @@ def test_series_negative_order(capsys):
     assert "error:" in err
 
 
+def test_series_bounds_above_the_order(capsys):
+    # a bound far above the order is clamped, not recursed through
+    argv = ("series", "--pattern", "1,600,0,1", "--order", "3", "--method")
+    assert run(capsys, *argv, "gf") == run(capsys, *argv, "rec")
+    code, out, _ = run(capsys, *argv, "gf")
+    assert (code, out) == (0, "t^0: 1\nt^1: 1\nt^2: 2\nt^3: 5\n")
+
+
 def test_series_order_above_the_recursion_limit(capsys):
     code, out, err = run(capsys, "series", "--pattern", "0,2,0,0", "--order", "70")
     assert (code, out) == (2, "")

@@ -23,14 +23,8 @@ from qmmp132 import (
     rational_series,
 )
 from qmmp132.dist_engine import clear_recursion_memo, q_series_recursive
-from qmmp132.gf_formulas import (
-    GfRequest,
-    clear_gf_cache,
-    series_q13,
-    series_q23,
-    series_q234,
-    series_q1234,
-)
+from qmmp132 import gf_formulas
+from qmmp132.gf_formulas import GfRequest, block_series, clear_gf_cache
 from qmmp132.mmp_stat import swap_b_d
 from qmmp132.poly_series import solve_q00k0
 
@@ -98,31 +92,53 @@ def test_dispatch_matches_recursion_on_grid():
 
 
 def test_each_formula_matches_recursion():
-    # each family over the zero bounds it accepts: c = 0 everywhere, a = 0
-    # in series_q13, d = 0 and b = 0 (served by reflection) in series_q1234
+    # block_series called directly, over every way a sub-pattern can be
+    # the pattern itself: none (a, b >= 1), the tail at r = 0 (a = 0,
+    # d >= 1), the middle's left factor (a = d = 0) and its right factor
+    # (b = 0, Q14 included); plus the a = b = 0 bottom and its reflection
     N = 20
-    cases = {
-        series_q13: [(0, 0, 0, 0), (2, 0, 0, 0), (0, 0, 2, 0), (1, 0, 1, 0), (3, 0, 2, 0)],
-        # (0, b, 0, 0) is served by the recursion, but q23 at c = 0 holds too
-        series_q23: [(0, 1, 1, 0), (0, 2, 1, 0), (0, 1, 2, 0), (0, 2, 2, 0)]
-        + [(0, b, 0, 0) for b in range(1, 6)],
-        series_q234: [(0, 1, 0, 1), (0, 3, 0, 2), (0, 1, 1, 1), (0, 2, 1, 1), (0, 2, 2, 2)],
-        series_q1234: [
-            (1, 1, 1, 1),
-            (2, 1, 1, 1),
-            (1, 2, 2, 1),
-            (1, 1, 0, 2),
-            (2, 1, 0, 1),
-            (1, 1, 2, 0),
-            (2, 2, 0, 0),
-            (2, 0, 0, 1),
-            (1, 0, 0, 2),
-            (1, 0, 2, 1),
-        ],
-    }
-    for fn, patterns in cases.items():
-        for pat in patterns:
-            assert fn(pat, N) == q_series_recursive(pat, N), (fn.__name__, pat)
+    patterns = [
+        (0, 0, 0, 0),
+        (2, 0, 0, 0),
+        (0, 0, 2, 0),
+        (1, 0, 1, 0),
+        (3, 0, 2, 0),
+        (0, 0, 1, 2),
+        (0, 0, 0, 3),
+        (0, 1, 1, 0),
+        (0, 2, 1, 0),
+        (0, 1, 2, 0),
+        (0, 2, 2, 0),
+        # (0, b, 0, 0) is served by the recursion in dispatch
+        *((0, b, 0, 0) for b in range(1, 6)),
+        (0, 1, 0, 1),
+        (0, 3, 0, 2),
+        (0, 1, 1, 1),
+        (0, 2, 1, 1),
+        (0, 2, 2, 2),
+        (1, 1, 1, 1),
+        (2, 1, 1, 1),
+        (1, 2, 2, 1),
+        (1, 1, 0, 2),
+        (2, 1, 0, 1),
+        (1, 1, 2, 0),
+        (2, 2, 0, 0),
+        # Q14, computed without a detour through its reflection
+        (2, 0, 0, 1),
+        (1, 0, 0, 2),
+        (3, 0, 0, 3),
+        (1, 0, 2, 1),
+    ]
+    for pat in patterns:
+        assert block_series(pat, N) == q_series_recursive(pat, N), pat
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.integers(0, 4)] * 4), st.integers(0, 12))
+@example((0, 0, 3, 2), 9)  # a = b = 0 with d >= 1: computed as its reflection
+@example((1, 9, 0, 1), 4)  # a bound above the order
+def test_block_series_matches_recursion(pat, order):
+    assert block_series(pat, order) == q_series_recursive(pat, order)
 
 
 def test_high_order_formulas_match_recursion():
@@ -200,15 +216,15 @@ def test_every_route_starts_at_one_and_sums_to_catalan():
 
 
 def test_frozen_coefficients():
-    assert str(series_q1234((1, 1, 1, 0), 5).coeff(5)) == "28+12x+2x^2"
-    assert str(series_q1234((1, 2, 1, 0), 5).coeff(5)) == "37+5x"
-    assert str(series_q234((0, 1, 1, 1), 4).coeff(4)) == "13+x"
-    assert str(series_q234((0, 1, 2, 1), 6).coeff(6)) == "113+17x+2x^2"
-    assert str(series_q234((0, 2, 2, 2), 8).coeff(8)) == "1328+94x+8x^2"
-    assert str(series_q1234((1, 1, 0, 1), 4).coeff(4)) == "10+4x"
-    assert str(series_q1234((2, 1, 0, 1), 5).coeff(5)) == "33+9x"
-    assert str(series_q1234((1, 1, 1, 1), 5).coeff(5)) == "38+4x"
-    assert str(series_q1234((3, 1, 1, 1), 7).coeff(7)) == "413+16x"
+    assert str(block_series((1, 1, 1, 0), 5).coeff(5)) == "28+12x+2x^2"
+    assert str(block_series((1, 2, 1, 0), 5).coeff(5)) == "37+5x"
+    assert str(block_series((0, 1, 1, 1), 4).coeff(4)) == "13+x"
+    assert str(block_series((0, 1, 2, 1), 6).coeff(6)) == "113+17x+2x^2"
+    assert str(block_series((0, 2, 2, 2), 8).coeff(8)) == "1328+94x+8x^2"
+    assert str(block_series((1, 1, 0, 1), 4).coeff(4)) == "10+4x"
+    assert str(block_series((2, 1, 0, 1), 5).coeff(5)) == "33+9x"
+    assert str(block_series((1, 1, 1, 1), 5).coeff(5)) == "38+4x"
+    assert str(block_series((3, 1, 1, 1), 7).coeff(7)) == "413+16x"
     assert str(dispatch((2, 1, 0, 2), 6).coeff(6)) == "105+27x"
 
 
@@ -285,16 +301,13 @@ def test_match_free_counts_for_late_saturating_patterns():
 
 
 def test_formula_argument_validation():
-    outside = {
-        series_q13: [(0, 1, 0, 0), (1, 0, 1, 1), (-1, 0, 0, 0), [1, 0, 0, 0]],
-        series_q23: [(0, 0, 1, 0), (1, 1, 1, 0), (0, 1, 1, 1), (0, True, 1, 0)],
-        series_q234: [(0, 1, 1, 0), (0, 0, 1, 1), (1, 1, 1, 1), (0, 1, 1)],
-        series_q1234: [(0, 1, 1, 1), (1, 0, 1, 0), (0, 0, 0, 0), (1, 1, EMPTY, 1)],
-    }
-    for fn, patterns in outside.items():
-        for pat in patterns:
+    malformed = [(-1, 0, 0, 0), [1, 0, 0, 0], (0, True, 1, 0), (0, 1, 1), (1, 1, EMPTY, 1)]
+    for pat in malformed:
+        for fn in (block_series, dispatch):
             with pytest.raises(ValueError):
                 fn(pat, 5)
+    with pytest.raises(ValueError, match="order"):
+        dispatch((1, 1, 1, 1), -1)
 
 
 def test_q_poly_gf():
@@ -314,3 +327,26 @@ def test_dispatch_cache_round_trip():
     clear_gf_cache()
     # a pattern and its reflection share one cache entry
     assert dispatch((2, 1, 0, 0), 10) is dispatch((2, 0, 0, 1), 10)
+
+
+def test_dispatch_clamps_bounds_to_the_order():
+    # any bound of N or more is unsatisfiable up to t^N; unclamped, the
+    # b-reducing head sum recursed once per unit of b
+    clear_gf_cache()
+    assert dispatch((1, 600, 0, 1), 3) is dispatch((1, 3, 0, 1), 3)
+    assert dispatch((1, 600, 0, 1), 3) == q_series_recursive((1, 600, 0, 1), 3)
+    assert dispatch((9, 11, 0, 6), 8) == q_series_recursive((8, 8, 0, 6), 8)
+
+
+def test_q14_is_served_without_reflected_alias_keys():
+    # 36 cold requests, (a, 0, 0, d) and (a, d, 0, 0) for a, d <= 3 at
+    # orders 20 and 30; reflecting Q14 inside its formula stored 450 keys
+    total = 0
+    for order in (20, 30):
+        for a in range(1, 4):
+            for d in range(1, 4):
+                for pat in ((a, 0, 0, d), (a, d, 0, 0)):
+                    clear_gf_cache()
+                    dispatch(pat, order)
+                    total += len(gf_formulas._cache)
+    assert total == 270
