@@ -61,11 +61,14 @@ t-convolution of two fixed families of rows.  The fill keeps each family
 as a list indexed by length, so the middle is one dot product of a slice
 and a reversed slice, summed in C; when a' = b' = 0 it is split at
 i = c + 1 and the part where n matches is shifted up one limb.  Only the
-edge terms are summed by an interpreted loop.  Rows are unpacked by the
-series kernel's balanced `poly_series._unpack`, the one unpack in the
-package.  All coefficients are nonnegative and a row of length m sums to
-the Catalan number C_m, so every coefficient of every row up to length n,
-and of every partial sum of the fill, is at most C_n.  The memo's limb is
+edge terms are summed by an interpreted loop.  Inversion swaps the b and
+d bounds and keeps Q_m, so a row (m, a', b', c, d') with b' > d' takes
+the row (m, a', d', c, b') when the memo has it: the same object, with no
+sum at all.  Rows are unpacked by the series kernel's balanced
+`poly_series._unpack`, the one unpack in the package.  All coefficients
+are nonnegative and a row of length m sums to the Catalan number C_m, so
+every coefficient of every row up to length n, and of every partial sum
+of the fill, is at most C_n.  The memo's limb is
 `poly_series._width(C_n)`, the width rule the series kernel uses, sized
 for the first request on an empty memo.  A longer request on a warm memo
 widens it once, straight to the width for RECURSION_N_MAX, repacking every
@@ -125,6 +128,11 @@ def _fill(n: int, a: int, b: int, c: int, d: int) -> None:
                     key = (m, aa, bb, c, dd)
                     if key in _memo:
                         continue
+                    if bb > dd:  # inversion swaps the b and d bounds, keeping Q_m
+                        twin = _memo.get((m, aa, dd, c, bb))
+                        if twin is not None:
+                            _memo[key] = twin
+                            continue
                     rmid = right[0][dd]
                     hi = m - dd  # up to i = hi, the left factor's d is spent
                     mid = min(lo, hi + 1)  # the middle regime is mid..hi

@@ -36,8 +36,10 @@ shape has no route of its own (reflection corresponds to inverting the
 permutation, which swaps quadrants II and IV and preserves the
 distribution).  There is one cache, at `dispatch`: each series is
 stored under (reflected pattern, order), and a reflected request's own
-key points at the same series.  `block_series` fetches its sub-series
-through `dispatch`.
+key points at the same series.  Before it is stored, each t^n
+coefficient is checked to sum to C_n (`TSeries.distribution`), which
+also sets the series' carried bounds to those counts.  `block_series`
+fetches its sub-series through `dispatch`.
 
 Everything is exact integer arithmetic; results agree coefficient by
 coefficient with the enumeration and recursion engines and are
@@ -175,6 +177,9 @@ def dispatch(pattern, order: int) -> TSeries:
             out = q_series_recursive(req.pattern, order)
         else:
             out = block_series(req.pattern, order)
+        # the coefficients of Q_n are counts summing to C_n: checked, and
+        # from here on they bound the series' norms
+        out = out.distribution()
         _cache[key] = out
     _cache[asked] = out
     return out

@@ -8,27 +8,33 @@ or produces terms beyond t^N.  Only t is truncated; x-degrees grow as
 needed.  All arithmetic is exact; there are no floats or rationals
 anywhere.
 
-Series arithmetic runs on one packed kernel.  Each x-polynomial is
-packed into a single big integer by Kronecker substitution, x = 2^L:
-the coefficient of x^r sits in limb r, L bits wide.  Limbs are balanced
-(signed): a limb holds any value in [-2^(L-1), 2^(L-1)), so the
-differences the formula route takes pack and unpack exactly.  A series
-product then costs one big-integer product per pair of t-coefficients,
-and each output t-coefficient is unpacked once.  The limb width is
-always derived from a proven bound on the output coefficients:
+A series is stored packed.  Each x-polynomial is one big integer by
+Kronecker substitution, x = 2^L: the coefficient of x^r sits in limb r,
+L bits wide.  Limbs are balanced (signed): a limb holds any value in
+[-2^(L-1), 2^(L-1)), so differences pack exactly.  A TSeries holds one
+width L, its t-coefficients packed at L, and for each t-coefficient p
+upper bounds on |p|_1 and |p|_inf, the sum and the largest of the
+absolute values of its coefficients.  Every operation carries the bounds
+forward, and a width of bit_length(bound) + 2 holds a coefficient:
 
-* product u*v: every coefficient is at most
-  sum_i |u_i|_1 * max_j |v_j|_inf in absolute value;
-* reciprocal 1/u: |(1/u)_n|_1 <= r_n, where r_0 = 1 and
-  r_n = sum_{k>=1} |u_k|_1 * r_{n-k};
-* solve_q00k0: the same kind of majorant, taken over the coefficient
-  recurrence it runs.
+* sum, difference, negation, shift, scale by an int: int operations on
+  the packed list, bounds by the triangle inequality;
+* product u*v: one big-integer dot product per output coefficient, with
+  |(uv)_n|_inf <= sum_i |u_i|_1 |v_{n-i}|_inf and the same for |.|_1;
+* reciprocal 1/u: |(1/u)_n|_1 <= r_n, r_0 = 1, r_n = sum_{k>=1} |u_k|_1 r_{n-k};
+* solve_q00k0: the same kind of majorant, over the recurrence it runs.
 
-Here |p|_1 is the sum and |p|_inf the maximum of the absolute values of
-p's coefficients.  A width of bit_length(bound) + 2 keeps every limb
-inside its signed range.  t and x are never packed together: the support
-of a series is triangular, and one integer for both variables measured
-about 30x slower than one integer per t-coefficient.
+A series is repacked only when a bound no longer fits its width.  Every
+series of order N starts at no less than W_N = width(C_{N+2} * 2^12):
+over {0..8}^4 at order 20 and {0..4}^4 at order 40 no bound in
+`block_series` needed more than width(C_{N+2}), so the formula route runs
+at one width.  W_N only decides where packing starts; correctness rests
+on the bounds.  `TSeries.distribution`, which `dispatch` applies to each
+result, checks z mod (2^L - 1) = p(1) mod (2^L - 1) against C_n, resets
+both bounds of t^n to C_n (the coefficients are counts) and moves the
+series to W_N.  Unpacking happens only on read: `coeffs` (once),
+`coeff(n)`, printing, hashing, and equality across widths.  t and x are
+never packed together: one integer for both measured about 30x slower.
 
 Textual forms follow the house style of the series being modeled:
 polynomials print ascending, "38+4x", "99+29x+4x^2"; a series prints one
@@ -47,6 +53,7 @@ XPoly((0, 0, 0, 5))
 
 from __future__ import annotations
 
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 from .perm_core import catalan
@@ -120,7 +127,7 @@ class XPoly:
     def __mul__(self, other: "XPoly") -> "XPoly":
         """One big-integer product; every output coefficient is at most
         |self|_1 * |other|_inf, the bound TSeries.__mul__ uses."""
-        L = _width(_norm1(self) * max(map(abs, other.coeffs), default=0))
+        L = _width(sum(map(abs, self.coeffs)) * max(map(abs, other.coeffs), default=0))
         return _unpack(_pack(self.coeffs, L) * _pack(other.coeffs, L), L)
 
     def scale(self, c: int) -> "XPoly":
@@ -180,7 +187,9 @@ def _pack(coeffs: Sequence[int], L: int) -> int:
 
 
 def _unpack(z: int, L: int) -> XPoly:
-    """Inverse of _pack for balanced limbs: every |c_r| < 2^(L-1)."""
+    """Inverse of _pack for balanced limbs: every |c_r| < 2^(L-1), L >= 2."""
+    if L < 2:  # at L = 1 every nonzero limb borrows and the loop never ends
+        raise ValueError(f"limb width must be at least 2, got {L}")
     mask = (1 << L) - 1
     half = 1 << (L - 1)
     coeffs = []
@@ -199,25 +208,15 @@ def _width(bound: int) -> int:
     return bound.bit_length() + 2
 
 
-def _norm1(p: XPoly) -> int:
-    return sum(map(abs, p.coeffs))
-
-
 def _inverse_terms(u: Sequence[int], sign: int) -> list[int]:
     """w_0 = u_0, w_n = sign * sum_{k>=1} u_k w_{n-k}, for n < len(u).
 
     With packed u (u_0 = +-1 = 1/u_0) and sign = -u_0 this is 1/u packed;
     with u_k = |u_k|_1 and sign = 1 it is the majorant r_n of 1/u.
     """
-    nz = [k for k in range(1, len(u)) if u[k]]
     w = [u[0]]
     for n in range(1, len(u)):
-        acc = 0
-        for k in nz:
-            if k > n:
-                break
-            acc += u[k] * w[n - k]
-        w.append(sign * acc)
+        w.append(sign * sum(map(mul, u[1 : n + 1], reversed(w))))
     return w
 
 
@@ -228,22 +227,13 @@ def _q00k0_terms(k: int, N: int, x: int, b: int) -> list[int]:
     L; at x = 1, b = 2 it is the majorant of the coefficients' 1-norms.
     """
     cat = [catalan(j) for j in range(k)]
-    q: list[int] = []
-    for n in range(N + 1):
-        if n == 0:
-            q.append(1)
-            continue
-        m = n - 1  # (Q^2)_m by symmetry: twice the half-sum, plus a middle square
-        sq = 0
-        for i in range((m + 1) // 2):
-            sq += q[i] * q[m - i]
-        sq *= 2
-        if m % 2 == 0:
-            sq += q[m // 2] * q[m // 2]
-        acc = 0
-        for j in range(1, min(k, n) + 1):
-            acc += cat[j - 1] * q[n - j]
-        q.append(x * sq + b * acc)
+    q = [1]
+    for n in range(1, N + 1):
+        h = n // 2  # (Q^2)_{n-1} by symmetry: twice the half-sum, plus a middle square
+        sq = 2 * sum(map(mul, q[:h], reversed(q[n - h :])))
+        if n % 2:
+            sq += q[h] * q[h]
+        q.append(x * sq + b * sum(map(mul, cat, reversed(q))))
     return q
 
 
@@ -255,135 +245,179 @@ def _as_xpoly(v) -> XPoly:
     raise TypeError(f"cannot coerce {v!r} to XPoly")
 
 
-class TSeries:
-    """Power series in t, truncated at a fixed order, XPoly coefficients."""
+def _floor(N: int) -> int:
+    """W_N, the least width of a series of order N."""
+    return _width(catalan(N + 2) << 12)
 
-    __slots__ = ("order", "coeffs")
+
+def _series(order: int, L: int, z, n1, ninf) -> "TSeries":
+    """A TSeries from its packed form; the caller proves the bounds."""
+    s = object.__new__(TSeries)
+    for name, v in zip(TSeries.__slots__, (order, L, tuple(z), n1, ninf, None)):
+        object.__setattr__(s, name, v)
+    return s
+
+
+def _int_series(order: int, cs: Sequence[int]) -> "TSeries":
+    """Series with x-free coefficients cs (an int packs to itself)."""
+    cs = (tuple(cs) + (0,) * (order + 1))[: order + 1]
+    bound = tuple(map(abs, cs))
+    return _series(order, max(_floor(order), _width(max(bound))), cs, bound, bound)
+
+
+class TSeries:
+    """Power series in t, truncated at a fixed order, XPoly coefficients.
+
+    Stored packed: ``z[n]`` is the t^n coefficient at x = 2^L, and
+    ``n1[n]``, ``ninf[n]`` bound its 1-norm and its largest coefficient.
+    """
+
+    __slots__ = ("order", "L", "z", "n1", "ninf", "_xp")
 
     def __init__(self, order: int, coeffs: Sequence = ()):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        cs = [_as_xpoly(c) for c in coeffs]
+        cs = [_as_xpoly(c).coeffs for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError("more coefficients than order allows")
-        cs.extend([ZERO] * (order + 1 - len(cs)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs.extend([()] * (order + 1 - len(cs)))
+        ninf = tuple(max(map(abs, c), default=0) for c in cs)
+        L = max(_floor(order), _width(max(ninf)))
+        n1 = tuple(sum(map(abs, c)) for c in cs)
+        z = tuple(_pack(c, L) for c in cs)
+        for name, v in zip(self.__slots__, (order, L, z, n1, ninf, None)):
+            object.__setattr__(self, name, v)
 
     def __setattr__(self, name, value):
         raise AttributeError("TSeries is immutable")
 
     @classmethod
     def zero(cls, order: int) -> "TSeries":
-        return cls(order)
+        return _int_series(order, ())
 
     @classmethod
     def one(cls, order: int) -> "TSeries":
-        return cls(order, (ONE,))
+        return _int_series(order, (1,))
 
     @classmethod
     def t_power(cls, r: int, order: int, c=1) -> "TSeries":
         """c * t^r (c an int or XPoly); zero if r exceeds the order."""
-        if r > order:
-            return cls(order)
-        return cls(order, (ZERO,) * r + (_as_xpoly(c),))
+        return cls(order, (ZERO,) * r + (c,)) if r <= order else cls.zero(order)
+
+    def distribution(self) -> "TSeries":
+        """This series at width W_N, each t^n coefficient known to be counts
+        summing to C_n, so that both its bounds are C_n.  The sums are
+        checked, z mod (2^L - 1) = p(1) mod (2^L - 1) = C_n, else ArithmeticError."""
+        cats = tuple(map(catalan, range(self.order + 1)))
+        if tuple(map(((1 << self.L) - 1).__rmod__, self.z)) != cats:
+            raise ArithmeticError("a t-coefficient does not sum to its Catalan number")
+        W = _floor(self.order)
+        return _series(self.order, W, self._at(W), cats, cats)
+
+    @property
+    def coeffs(self) -> tuple[XPoly, ...]:
+        """The XPoly coefficients, unpacked on first read."""
+        if self._xp is None:
+            object.__setattr__(self, "_xp", tuple(_unpack(z, self.L) for z in self.z))
+        return self._xp
 
     def coeff(self, n: int) -> XPoly:
         """XPoly coefficient of t^n."""
         if not 0 <= n <= self.order:
             raise ValueError(f"t-exponent {n} outside 0..{self.order}")
-        return self.coeffs[n]
+        return self._xp[n] if self._xp is not None else _unpack(self.z[n], self.L)
 
     def _check(self, other: "TSeries") -> None:
         if self.order != other.order:
-            raise OrderMismatchError(
-                f"orders differ: {self.order} vs {other.order}"
-            )
+            raise OrderMismatchError(f"orders differ: {self.order} vs {other.order}")
+
+    def _at(self, L: int) -> tuple[int, ...]:
+        """The packing at width L, which must hold the coefficients.  A value
+        in [-2^(self.L-1), 2^(self.L-1)) is a constant, the same at any width."""
+        if L == self.L:
+            return self.z
+        h = 1 << (self.L - 1)
+        return tuple(
+            z if -h <= z < h else _pack(_unpack(z, self.L).coeffs, L) for z in self.z
+        )
+
+    def _sum(self, other: "TSeries", op) -> "TSeries":
+        self._check(other)
+        ninf = tuple(map(add, self.ninf, other.ninf))
+        L = max(self.L, other.L, _width(max(ninf)))
+        z = map(op, self._at(L), other._at(L))
+        return _series(self.order, L, z, tuple(map(add, self.n1, other.n1)), ninf)
 
     def __add__(self, other: "TSeries") -> "TSeries":
-        self._check(other)
-        return TSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._sum(other, add)
 
     def __neg__(self) -> "TSeries":
-        return TSeries(self.order, [-a for a in self.coeffs])
+        return _series(self.order, self.L, map(neg, self.z), self.n1, self.ninf)
 
     def __sub__(self, other: "TSeries") -> "TSeries":
-        self._check(other)
-        return TSeries(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._sum(other, sub)
 
     def __mul__(self, other: "TSeries") -> "TSeries":
-        """Product through the packed kernel: one big-integer product per
-        pair of nonzero t-coefficients, one unpack per output coefficient."""
+        """Product through the packed kernel: one big-integer dot product
+        per output coefficient, at a width from the convolved bounds."""
         self._check(other)
-        N = self.order
-        bound = sum(map(_norm1, self.coeffs)) * max(
-            max(map(abs, b.coeffs), default=0) for b in other.coeffs
-        )
-        L = _width(bound)
-        A = [_pack(a.coeffs, L) for a in self.coeffs]
-        B = [_pack(b.coeffs, L) for b in other.coeffs]
-        nz = [i for i in range(N + 1) if A[i]]
-        out = []
-        for n in range(N + 1):
-            z = 0
-            for i in nz:
-                if i > n:
-                    break
-                if B[n - i]:
-                    z += A[i] * B[n - i]
-            out.append(_unpack(z, L))
-        return TSeries(N, out)
+        N, u1 = self.order, self.n1
+        v1, vinf = other.n1[::-1], other.ninf[::-1]
+        ninf = tuple(sum(map(mul, u1, vinf[N - n :])) for n in range(N + 1))
+        L = max(self.L, other.L, _width(max(ninf)))
+        A, B = self._at(L), other._at(L)[::-1]
+        z = [sum(map(mul, A, B[N - n :])) for n in range(N + 1)]
+        n1 = tuple(sum(map(mul, u1, v1[N - n :])) for n in range(N + 1))
+        return _series(N, L, z, n1, ninf)
 
     def scale(self, c) -> "TSeries":
         """Multiply every coefficient by an int or XPoly."""
-        if isinstance(c, int):
-            return TSeries(self.order, [a.scale(c) for a in self.coeffs])
-        p = _as_xpoly(c)
-        return TSeries(self.order, [a * p for a in self.coeffs])
+        if not isinstance(c, int):
+            return self * TSeries(self.order, (c,))
+        n1, ninf = (tuple(map(abs(c).__mul__, v)) for v in (self.n1, self.ninf))
+        L = max(self.L, _width(max(ninf)))
+        return _series(self.order, L, map(c.__mul__, self._at(L)), n1, ninf)
 
     def shift(self, k: int = 1) -> "TSeries":
         """Multiply by t^k at fixed order (top k coefficients fall off)."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
         k = min(k, self.order + 1)
-        return TSeries(self.order, (ZERO,) * k + self.coeffs[: self.order + 1 - k])
+        pad, keep = (0,) * k, self.order + 1 - k
+        z, n1, ninf = (pad + v[:keep] for v in (self.z, self.n1, self.ninf))
+        return _series(self.order, self.L, z, n1, ninf)
 
     def reciprocal(self) -> "TSeries":
         """Multiplicative inverse; constant term must be exactly 1 or -1."""
-        c0 = self.coeffs[0]
-        if c0 != ONE and c0 != XPoly((-1,)):
+        u0 = self.z[0]  # +1 or -1, self-inverse
+        if u0 != 1 and u0 != -1:
             raise ValueError("reciprocal needs constant term +1 or -1")
-        u0 = c0.coeff(0)  # +1 or -1, self-inverse
-        r = _inverse_terms([1] + [_norm1(u) for u in self.coeffs[1:]], 1)
-        L = _width(max(r))
-        inv = _inverse_terms([_pack(u.coeffs, L) for u in self.coeffs], -u0)
-        return TSeries(self.order, [_unpack(z, L) for z in inv])
+        r = tuple(_inverse_terms((1,) + self.n1[1:], 1))
+        L = max(self.L, _width(max(r)))
+        return _series(self.order, L, _inverse_terms(self._at(L), -u0), r, r)
 
     def subs_x(self, x: int) -> "TSeries":
         """Evaluate every coefficient at an integer x."""
-        return TSeries(self.order, [XPoly((a.eval_at(x),)) for a in self.coeffs])
+        return _int_series(self.order, [a.eval_at(x) for a in self.coeffs])
 
     def int_coeffs(self) -> list[int]:
         """Constant-in-x view; requires every coefficient constant."""
-        out = []
         for n, a in enumerate(self.coeffs):
             if a.degree > 0:
                 raise ValueError(f"t^{n} coefficient is not constant in x")
-            out.append(a.coeff(0))
-        return out
+        return [a.coeff(0) for a in self.coeffs]
 
     def truncate(self, order: int) -> "TSeries":
         """Copy at a lower (or equal) truncation order."""
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TSeries(order, self.coeffs[: order + 1])
+        z, n1, ninf = (v[: order + 1] for v in (self.z, self.n1, self.ninf))
+        return _series(order, self.L, z, n1, ninf)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
+        if not isinstance(other, TSeries) or self.order != other.order:
+            return False
+        return self.z == other.z if self.L == other.L else self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash((self.order, self.coeffs))
@@ -397,7 +431,7 @@ class TSeries:
 
 def catalan_series(N: int) -> TSeries:
     """C(t) = sum C_n t^n truncated at t^N."""
-    return TSeries(N, [XPoly((catalan(n),)) for n in range(N + 1)])
+    return _int_series(N, [catalan(n) for n in range(N + 1)])
 
 
 def catalan_xt_series(N: int) -> TSeries:
@@ -407,18 +441,12 @@ def catalan_xt_series(N: int) -> TSeries:
 
 def catalan_partial_sum(j_max: int, N: int) -> TSeries:
     """sum_{j=0}^{j_max} C_j t^j as a series of order N; zero when j_max < 0."""
-    if j_max < 0:
-        return TSeries.zero(N)
-    return TSeries(
-        N, [XPoly((catalan(n),)) if n <= j_max else ZERO for n in range(N + 1)]
-    )
+    return _int_series(N, [catalan(n) for n in range(min(j_max, N) + 1)])
 
 
 def rational_series(num: Sequence[int], den: Sequence[int], N: int) -> TSeries:
     """Expand num(t)/den(t) to order N; den must have constant term +-1."""
-    nu = TSeries(N, [XPoly((c,)) for c in num[: N + 1]])
-    de = TSeries(N, [XPoly((c,)) for c in den[: N + 1]])
-    return nu * de.reciprocal()
+    return _int_series(N, num) * _int_series(N, den).reciprocal()
 
 
 def solve_q00k0(k: int, N: int) -> TSeries:
@@ -433,20 +461,22 @@ def solve_q00k0(k: int, N: int) -> TSeries:
 
     whose right side only needs Q_0..Q_{n-1}.  It runs packed at a width
     taken from the same recurrence with every term replaced by its
-    1-norm bound: O(N^2) big-integer products in all.
+    1-norm bound: O(N^2) big-integer products in all.  The packed terms
+    are the result, bounded by that majorant.
     """
     if k < 1:
         raise ValueError("k must be >= 1 (k = 0 is the C(xt) case)")
-    L = _width(max(_q00k0_terms(k, N, 1, 2)))
-    packed = _q00k0_terms(k, N, 1 << L, 1 - (1 << L))
-    q = TSeries(N, [_unpack(z, L) for z in packed])
-    one = TSeries.one(N)
-    s_k = catalan_partial_sum(k - 1, N)
-    # tx - t as a series: coefficient of t^1 is x - 1
-    tx_minus_t = TSeries.t_power(1, N, XPoly((-1, 1)))
-    tx = TSeries.t_power(1, N, XPoly((0, 1)))
-    # exact residual check: the quadratic must vanish identically
-    residual = tx * q * q - (one + tx_minus_t * s_k) * q + one
-    if any(not c.is_zero() for c in residual.coeffs):
+    bound = tuple(_q00k0_terms(k, N, 1, 2))
+    # the residual's carried bounds stay below 4 m_n, as x*(Q^2)_{n-1} and
+    # both parts of B*Q are at most m_n: the check repacks nothing
+    L = max(_floor(N), _width(4 * max(bound)))
+    q = _series(N, L, _q00k0_terms(k, N, 1 << L, 1 - (1 << L)), bound, bound)
+    one, tx = TSeries.one(N), TSeries.t_power(1, N, XPoly((0, 1)))
+    # B = 1 + (tx - t) S_k, whose t^1 coefficient is x - 1
+    B = one + TSeries.t_power(1, N, XPoly((-1, 1))) * catalan_partial_sum(k - 1, N)
+    # exact residual check: the quadratic must vanish identically, and a
+    # packing whose bounds fit its width is 0 only for the zero polynomial
+    residual = tx * q * q - B * q + one
+    if any(residual.z):
         raise ArithmeticError("recurrence failed to satisfy its quadratic")
     return q

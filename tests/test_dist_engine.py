@@ -235,6 +235,16 @@ def test_fill_matches_the_reference_loop_on_a_large_box():
     assert new == ref
 
 
+def test_reflected_twin_rows_are_shared():
+    # inversion swaps b and d and keeps Q_m: a row with b' > d' is the very
+    # object of its twin, and the memo still equals the reference loop's
+    new, ref, _ = _memo_after((30, (2, 5, 1, 5)))
+    assert new.keys() == ref.keys() and new == ref
+    twins = [(k, (k[0], k[1], k[4], k[3], k[2])) for k in new if k[2] > k[4]]
+    assert len(twins) > 1000
+    assert all(new[k] is new[t] for k, t in twins)
+
+
 def test_limb_width_holds_every_coefficient():
     # (0,0,0,0) puts all C_n permutations in one coefficient: the top limb
     # holds the bound itself, so a limb one bit short of it fails here

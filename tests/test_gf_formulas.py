@@ -23,10 +23,10 @@ from qmmp132 import (
     rational_series,
 )
 from qmmp132.dist_engine import clear_recursion_memo, q_series_recursive
-from qmmp132 import gf_formulas
+from qmmp132 import dist_engine, gf_formulas, poly_series
 from qmmp132.gf_formulas import GfRequest, block_series, clear_gf_cache
 from qmmp132.mmp_stat import swap_b_d
-from qmmp132.poly_series import solve_q00k0
+from qmmp132.poly_series import TSeries, solve_q00k0
 
 
 # ---------------------------------------------------------------------------
@@ -350,3 +350,39 @@ def test_q14_is_served_without_reflected_alias_keys():
                     dispatch(pat, order)
                     total += len(gf_formulas._cache)
     assert total == 270
+
+
+def test_a_corrupted_limb_trips_the_dispatch_sum_check(monkeypatch):
+    # one more x in the top coefficient: that t^n no longer sums to C_n
+    good = gf_formulas.block_series
+
+    def corrupted(pattern, order):
+        return good(pattern, order) + TSeries.t_power(order, order, XPoly((0, 1)))
+
+    clear_gf_cache()
+    monkeypatch.setattr(gf_formulas, "block_series", corrupted)
+    try:
+        with pytest.raises(ArithmeticError):
+            dispatch((1, 1, 1, 1), 6)
+    finally:
+        clear_gf_cache()
+
+
+def test_a_cold_dispatch_keeps_its_series_packed(monkeypatch):
+    # products and sums stay packed; unpacks come from narrowing the
+    # (0,0,c,0) series to the common width, and from reads
+    calls = []
+    real = poly_series._unpack
+
+    def counted(z, L):
+        calls.append(L)
+        return real(z, L)
+
+    monkeypatch.setattr(poly_series, "_unpack", counted)
+    monkeypatch.setattr(dist_engine, "_unpack", counted)
+    clear_gf_cache()
+    clear_recursion_memo()
+    out = dispatch((3, 3, 3, 3), 30)
+    assert len(calls) < 1000
+    clear_gf_cache()
+    assert out == q_series_recursive((3, 3, 3, 3), 30)

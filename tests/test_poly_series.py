@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import signal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmmp132 import TSeries, XPoly, catalan, catalan_series, catalan_xt_series
 from qmmp132.poly_series import (
+    ZERO,
     OrderMismatchError,
     _pack,
     _unpack,
+    _width,
     catalan_partial_sum,
     rational_series,
     solve_q00k0,
@@ -273,6 +277,77 @@ def test_pack_unpack_round_trip_at_limb_edge():
             [],
         ):
             assert _unpack(_pack(coeffs, L), L) == XPoly(coeffs), (L, coeffs)
+
+
+def test_unpack_rejects_a_width_below_two():
+    # at L = 1 every nonzero limb borrows and the loop never ends; the alarm
+    # bounds this test should the guard go missing
+    def expire(signum, frame):
+        raise TimeoutError("_unpack did not return")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        for L in (1, 0):
+            with pytest.raises(ValueError):
+                _unpack(5, L)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+# ---------------------------------------------------------------------------
+# the packed ring against the same operations on XPoly lists
+
+
+def _apply(op, u, v, c, k):
+    """One step on a (TSeries, XPoly list) pair; the list side is the reference."""
+    (s, a), (t, b) = u, v
+    N = s.order
+    if op == "add":
+        return s + t, [p + q for p, q in zip(a, b)]
+    if op == "sub":
+        return s - t, [p - q for p, q in zip(a, b)]
+    if op == "neg":
+        return -s, [-p for p in a]
+    if op == "shift":
+        return s.shift(k), ([ZERO] * k + a)[: N + 1]
+    if op == "scale":
+        return s.scale(c), [p.scale(c) for p in a]
+    if op == "mul":
+        return s * t, list(schoolbook_mul(TSeries(N, a), TSeries(N, b)).coeffs)
+    w = [XPoly((1,))] + a[:N]  # 1 + t*u: an invertible constant term
+    inv = schoolbook_reciprocal(TSeries(N, w)).coeffs
+    return (TSeries.one(N) + s.shift(1)).reciprocal(), list(inv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_ring_matches_xpoly_reference_on_random_chains(data):
+    """Random chains over series of different widths, with scale factors
+    large enough to force a widen: every result equals the reference, its
+    carried bounds hold and fit its width, and it equals (and hashes as) a
+    fresh series at the common starting width."""
+    N = data.draw(st.integers(0, 7))
+    pool = []
+    for _ in range(3):
+        s = data.draw(series_strategy(N, big_xpolys))
+        pool.append((s, list(s.coeffs)))
+    ops = st.sampled_from(("add", "sub", "neg", "shift", "scale", "mul", "recip"))
+    factors = st.one_of(st.integers(-3, 3), st.sampled_from((2**90, -(2**150))))
+    for _ in range(data.draw(st.integers(1, 6))):
+        op = data.draw(ops)
+        u, v = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+        c, k = data.draw(factors), data.draw(st.integers(0, N + 2))
+        s, ref = _apply(op, u, v, c, k)
+        assert s.coeffs == tuple(ref), op
+        for p, n1, ninf in zip(ref, s.n1, s.ninf):
+            assert sum(map(abs, p.coeffs)) <= n1
+            assert max(map(abs, p.coeffs), default=0) <= ninf
+            assert _width(ninf) <= s.L
+        fresh = TSeries(N, ref)
+        assert s == fresh and hash(s) == hash(fresh)
+        pool.append((s, ref))
 
 
 # ---------------------------------------------------------------------------
