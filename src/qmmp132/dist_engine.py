@@ -6,20 +6,24 @@ Both functions take a pattern of four nonnegative integer quadrant bounds
     Q_n(x) = sum over sigma in S_n(132) of x^(mmp count of sigma).
 
 Brute force accepts n <= 14 (perm_core.DEFAULT_ENUM_CAP), a fixed limit
-checked before any work.  It enumerates S_n(132) position-major, as an
-(n, C_n) numpy array, and compares points for one count only: q1, the
-points right of and above each position, with one C-level pass per pair
-of positions.  One table per length is kept, for n <= 12: the values and
-q1.  The other three follow by counting points by value and by position:
-at 0-based position p with value v, n - v points lie above, p to the left
-and n - 1 - p to the right, so
+checked before any work.  It enumerates S_n(132) position-major into one
+(m, C_m) int8 table per length m <= n, each block written in place from
+two shorter tables, and compares points for one count only: q1, the points
+right of and above each position, with one C-level pass per pair of
+positions.  One table per length is kept, for n <= 12: the values and q1.
+The other three follow by counting points by value and by position: at
+0-based position p with value v, n - v points lie above, p to the left and
+n - 1 - p to the right, so
 
     q2 = (n - v) - q1,    q3 = p - q2,    q4 = (n - 1 - p) - q1.
 
 No 132 structure is used, so brute force stays independent of the
-recursion.  Each nonzero bound is one comparison; the per-permutation match
-counts are histogrammed.  Counts stay below 2^63 through the enumeration
-limit, so int64 histogram bins are exact.
+recursion.  Matches are counted one position at a time: each nonzero bound
+is one comparison on that position's row, and the matching permutations
+gain one in a single uint8 count per permutation, which one bincount turns
+into the histogram.  So no temporary of the count outgrows one row.
+Counts stay below 2^63 through the enumeration limit, so int64 histogram
+bins are exact.
 
 The recursion works on the position i of the maximal value n.  In a
 132-avoider, sigma = A n B where A occupies the top i-1 values and B the
@@ -236,22 +240,31 @@ def avoiders_array(n: int) -> np.ndarray:
     """All of S_n(132) as a (catalan(n), n) int8 array, one row per permutation.
 
     Built from scratch for every length up to n, each length position-major
-    as an (m, catalan(m)) array; the result is a transposed view of the last.
+    into one (m, catalan(m)) table; the result is a transposed view of the
+    last.  With the value m at position i, the block of A m B takes the next
+    catalan(i-1) * catalan(m-i) columns: column l * catalan(m-i) + r holds
+    the l-th A shifted up by m - i, then m, then the r-th B.  Each part is
+    written into its rows of the block by broadcasting through a
+    (rows, catalan(i-1), catalan(m-i)) reshape, a view since each row of the
+    block is contiguous, with no repeated or tiled copy of either factor.
     """
     check_enumeration(n)
     built = [np.zeros((0, 1), dtype=np.int8)]
     for m in range(1, n + 1):
-        parts = []
+        table = np.empty((m, catalan(m)), dtype=np.int8)
+        off = 0
         for i in range(1, m + 1):  # position of the value m
             left = built[i - 1]
             right = built[m - i]
             ml, mr = left.shape[1], right.shape[1]
-            block = np.empty((m, ml * mr), dtype=np.int8)
-            block[: i - 1] = np.repeat(left + (m - i), mr, axis=1)
+            block = table[:, off : off + ml * mr]
+            block[: i - 1].reshape(i - 1, ml, mr)[...] = (
+                left[:, :, None] + (m - i)
+            )
             block[i - 1] = m
-            block[i:] = np.tile(right, (1, ml))
-            parts.append(block)
-        built.append(np.concatenate(parts, axis=1))
+            block[i:].reshape(m - i, ml, mr)[...] = right[:, None, :]
+            off += ml * mr
+        built.append(table)
     return built[n].T
 
 
@@ -275,6 +288,10 @@ def _counts_for(n: int) -> tuple[np.ndarray, np.ndarray]:
 def q_poly_bruteforce(n: int, pat) -> XPoly:
     """Q_n(x) by direct enumeration of S_n(132).
 
+    One pass per position p tests q1[p] and the values at p against the
+    bounds and adds the result into one match count per permutation; the
+    histogram of those counts is Q_n.
+
     >>> print(q_poly_bruteforce(5, (0, 1, 1, 1)))
     33+8x+x^2
     >>> print(q_poly_bruteforce(2, (1, 1, 0, 1)))
@@ -288,17 +305,18 @@ def q_poly_bruteforce(n: int, pat) -> XPoly:
     # at 0-based position p with value v: n - v points lie above, p to the
     # left and n - 1 - p to the right; bounds are clamped to n, and no length
     # that can be enumerated reaches 128, so bounds and counts fit int8
-    p = np.arange(n, dtype=np.int8)[:, None]
-    ok = np.ones(q1.shape, dtype=bool)
-    if a:
-        ok &= q1 >= a
-    if b or c:
-        q2 = (n - cols) - q1
-        if b:
-            ok &= q2 >= b
-        if c:
-            ok &= p - q2 >= c
-    if d:
-        ok &= (n - 1 - p) - q1 >= d
-    hist = np.bincount(ok.sum(axis=0), minlength=n + 1)
+    count = np.zeros(q1.shape[1], dtype=np.uint8)
+    for p in range(n):
+        one = q1[p]
+        ok = one >= a
+        if b or c:
+            q2 = (n - cols[p]) - one
+            if b:
+                ok &= q2 >= b
+            if c:
+                ok &= p - q2 >= c
+        if d:
+            ok &= (n - 1 - p) - one >= d
+        count += ok
+    hist = np.bincount(count, minlength=n + 1)
     return XPoly(int(h) for h in hist)

@@ -34,12 +34,13 @@ structural recursion (`Route.ENGINE`).
 its zero-shape, first reflecting (a, b, c, d) -> (a, d, c, b) when the
 shape has no route of its own (reflection corresponds to inverting the
 permutation, which swaps quadrants II and IV and preserves the
-distribution).  There is one cache, at `dispatch`: each series is
-stored under (reflected pattern, order), and a reflected request's own
-key points at the same series.  Before it is stored, each t^n
-coefficient is checked to sum to C_n (`TSeries.distribution`), which
-also sets the series' carried bounds to those counts.  `block_series`
-fetches its sub-series through `dispatch`.
+distribution).  Bounds that sum to the order or more leave no match up
+to it, and get the Catalan series with no route.  There is one cache,
+at `dispatch`: each series is stored under (reflected pattern, order),
+and a reflected request's own key points at the same series.  Before
+it is stored, each t^n coefficient is checked to sum to C_n
+(`TSeries.distribution`), which also sets the series' carried bounds to
+those counts.  `block_series` fetches its sub-series through `dispatch`.
 
 Everything is exact integer arithmetic; results agree coefficient by
 coefficient with the enumeration and recursion engines and are
@@ -58,6 +59,7 @@ from .poly_series import (
     TSeries,
     XPoly,
     catalan_partial_sum,
+    catalan_series,
     catalan_xt_series,
     solve_q00k0,
 )
@@ -158,7 +160,11 @@ def dispatch(pattern, order: int) -> TSeries:
     Routing: `block_series`, reflection where the zero-shape needs it,
     and the structural recursion for (0, b, 0, 0) / (0, 0, 0, d).  Bounds
     are first clamped to the order: every bound of N or more is equally
-    unsatisfiable up to t^N.  The formula route's only cache lives here.
+    unsatisfiable up to t^N.  A match needs a + b + c + d other points, one
+    set per quadrant, so a length-n position has at most n - 1 of them;
+    when the clamped bounds sum to N or more no length up to N has a
+    match, and the series stored is the Catalan series C(t), built
+    without calling a route.  The formula route's only cache lives here.
     Each series is computed once, under (reflected pattern, order); a
     reflected request also keeps its own key, pointing at that same
     series, so a repeat skips the routing.
@@ -173,7 +179,9 @@ def dispatch(pattern, order: int) -> TSeries:
     key = (req.pattern, order)
     out = _cache.get(key)
     if out is None:
-        if req.route is Route.ENGINE:
+        if sum(req.pattern) >= order:  # no position of length <= order matches
+            out = catalan_series(order)
+        elif req.route is Route.ENGINE:
             out = q_series_recursive(req.pattern, order)
         else:
             out = block_series(req.pattern, order)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from qmmp132 import cli
+from qmmp132 import catalan, cli
 from qmmp132.analysis import ClosedFormCheck, XvalReport
 
 
@@ -91,6 +91,14 @@ def test_series_bounds_above_the_order(capsys):
     assert run(capsys, *argv, "gf") == run(capsys, *argv, "rec")
     code, out, _ = run(capsys, *argv, "gf")
     assert (code, out) == (0, "t^0: 1\nt^1: 1\nt^2: 2\nt^3: 5\n")
+
+
+def test_series_bounds_summing_to_the_order(capsys):
+    # no length up to the order has a match: the Catalan series, at once
+    argv = ("series", "--pattern", "150,0,0,0", "--order", "150", "--method", "gf")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == "".join(f"t^{n}: {catalan(n)}\n" for n in range(151))
 
 
 def test_series_order_above_the_recursion_limit(capsys):

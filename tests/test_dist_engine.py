@@ -262,7 +262,7 @@ def test_recursion_reaches_large_lengths():
 
 
 def test_avoiders_array_matches_generator():
-    for n in range(8):
+    for n in range(10):
         arr = avoiders_array(n)
         assert arr.shape == (catalan(n), n)
         assert arr.dtype == np.int8
@@ -325,17 +325,25 @@ def test_bruteforce_matches_recursion_at_13_uncached():
     assert 13 not in dist_engine._count_tensors
 
 
+def test_bruteforce_matches_recursion_at_the_enumeration_cap():
+    for pat in [(1, 1, 1, 1), (2, 1, 2, 1)]:
+        assert q_poly_bruteforce(14, pat) == q_poly_recursive(14, pat), pat
+
+
 def test_bruteforce_memory_peak():
-    """No (M, n, n) comparison tensor: a cold n = 12 stays far below the
-    101 MiB the full quadrant tensor needed (numpy reports to tracemalloc)."""
-    clear_brute_cache()
-    tracemalloc.start()
-    try:
-        q_poly_bruteforce(12, (1, 1, 1, 1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 * 2**20, peak
+    """No (M, n, n) comparison tensor and no whole-table temporaries: a cold
+    n = 12 stays far below the 101 MiB the full quadrant tensor needed, and a
+    cold n = 13 holds little beyond its values and q1, 9.2 MiB each (numpy
+    reports to tracemalloc)."""
+    for n, bound in [(12, 40), (13, 32)]:
+        clear_brute_cache()
+        tracemalloc.start()
+        try:
+            q_poly_bruteforce(n, (1, 1, 1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20, (n, peak)
 
 
 def test_warm_cache_does_not_bypass_the_enumeration_cap(monkeypatch):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -336,6 +336,18 @@ def test_dispatch_clamps_bounds_to_the_order():
     assert dispatch((1, 600, 0, 1), 3) is dispatch((1, 3, 0, 1), 3)
     assert dispatch((1, 600, 0, 1), 3) == q_series_recursive((1, 600, 0, 1), 3)
     assert dispatch((9, 11, 0, 6), 8) == q_series_recursive((8, 8, 0, 6), 8)
+
+
+def test_bounds_summing_to_the_order_give_the_catalan_series():
+    # a match needs a + b + c + d other points, so once the clamped bounds
+    # sum to the order or more nothing matches and dispatch stores C(t);
+    # otherwise (400, 0, 0, 0) at order 400 recurses once per unit of a
+    for order in (3, 6, 9):
+        for pat in product(range(5), repeat=4):
+            assert dispatch(pat, order) == q_series_recursive(pat, order), (pat, order)
+    clear_gf_cache()
+    series = dispatch((400, 0, 0, 0), 400)
+    assert series.int_coeffs() == [catalan(n) for n in range(401)]
 
 
 def test_q14_is_served_without_reflected_alias_keys():
