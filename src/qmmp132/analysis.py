@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Sequence
 
-from .dist_engine import q_poly_bruteforce, q_poly_recursive
+from .dist_engine import _check_length, q_poly_bruteforce, q_poly_recursive
 from .gf_formulas import dispatch
 from .mmp_stat import swap_b_d
 from .perm_core import (
@@ -42,6 +42,7 @@ from .perm_core import (
     all_perms,
     avoiders_after_also_avoiding,
     catalan,
+    check_enumeration,
     contains_classical,
     parse_perm,
     reduce_word,
@@ -119,9 +120,13 @@ def _transform_value(q: XPoly, transform: str) -> int:
 def export_sequence(
     pattern, transform: str, n_max: int = DEFAULT_SEQUENCE_TERMS
 ) -> SequenceExport:
-    """Sequence of one coefficient per length n = 1..n_max, exactly."""
+    """Sequence of one coefficient per length n = 1..n_max, exactly.
+
+    n_max is checked against the recursion's limit before any row is filled.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    _check_length(n_max)
     vals = tuple(
         _transform_value(q_poly_recursive(n, pattern), transform)
         for n in range(1, n_max + 1)
@@ -219,9 +224,19 @@ def _run_check(check: ClosedFormCheck, n_max: int) -> CheckResult:
 def check_closed_forms(
     registry: Sequence[ClosedFormCheck] | None = None, n_max: int = 25
 ) -> CheckReport:
-    """Evaluate every registered formula against the recursion engine."""
+    """Evaluate every registered formula against the recursion engine.
+
+    An empty registry or n_max < 1 checks nothing and raises ValueError; an
+    n_max above the recursion's limit raises ResourceLimitError before any
+    check runs.
+    """
     if registry is None:
         registry = default_registry()
+    if not registry:
+        raise ValueError("no checks to run")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    _check_length(n_max)
     return CheckReport(tuple(_run_check(c, n_max) for c in registry))
 
 
@@ -413,6 +428,8 @@ def classical_equivalence_check(
     scan (n_max <= CLASSICAL_SCAN_CAP), with a fast path when 132 itself
     is forbidden.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     if n_max > CLASSICAL_SCAN_CAP:
         raise ResourceLimitError(
             f"classical avoidance scan capped at n={CLASSICAL_SCAN_CAP}; "
@@ -492,7 +509,16 @@ def cross_validate(
     inversion reflection (a,b,c,d) -> (a,d,c,b).  Stops at the first
     discrepancy.  The engine hooks exist so the test suite can verify
     that deliberately corrupted engines are caught.
+
+    Every argument is checked before any engine runs: a negative one
+    checks nothing and raises ValueError, and an n_max above the
+    enumeration limit or an order above the recursion's limit raises
+    ResourceLimitError.
     """
+    if entry_bound < 0:
+        raise ValueError("entry_bound must be >= 0")
+    check_enumeration(n_max)
+    _check_length(order)
     patterns = 0
     comparisons = 0
     for pat in _natural_patterns(entry_bound):

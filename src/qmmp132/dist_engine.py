@@ -6,24 +6,29 @@ Both functions take a pattern of four nonnegative integer quadrant bounds
     Q_n(x) = sum over sigma in S_n(132) of x^(mmp count of sigma).
 
 Brute force accepts n <= 14 (perm_core.DEFAULT_ENUM_CAP), a fixed limit
-checked before any work.  It enumerates S_n(132) position-major into one
-(m, C_m) int8 table per length m <= n, each block written in place from
-two shorter tables, and compares points for one count only: q1, the points
-right of and above each position, with one C-level pass per pair of
-positions.  One table per length is kept, for n <= 12: the values and q1.
-The other three follow by counting points by value and by position: at
-0-based position p with value v, n - v points lie above, p to the left and
-n - 1 - p to the right, so
+checked before any work.  It enumerates S_n(132) one block at a time:
+block i holds the permutations with n at position i, an
+(n, C_{i-1} C_{n-i}) int8 array written in place from the two shorter
+tables on either side of n.  Every shorter table is a column suffix of
+the length-(n-1) table, so one avoiders_array(n-1) call feeds all n
+blocks.  Points are compared for one count only: q1, the points right of
+and above each position, with one C-level pass per pair of positions.
+Lengths n <= 12 keep their values and q1, the blocks joined into one
+pair; longer lengths are streamed, one block and its q1 at a time.
+The other three counts follow by counting points by value and by
+position: at 0-based position p with value v, n - v points lie above, p
+to the left and n - 1 - p to the right, so
 
     q2 = (n - v) - q1,    q3 = p - q2,    q4 = (n - 1 - p) - q1.
 
-No 132 structure is used, so brute force stays independent of the
-recursion.  Matches are counted one position at a time: each nonzero bound
-is one comparison on that position's row, and the matching permutations
-gain one in a single uint8 count per permutation, which one bincount turns
-into the histogram.  So no temporary of the count outgrows one row.
-Counts stay below 2^63 through the enumeration limit, so int64 histogram
-bins are exact.
+No 132 structure is used in counting, so brute force stays independent
+of the recursion.  Matches are counted one position at a time: each
+nonzero bound is one comparison on that position's row of the block, and
+the matching permutations gain one in a single uint8 count per
+permutation, which one bincount per block adds into the histogram.  So no
+temporary of the count outgrows one row: C_n entries for a cached length,
+at most C_{n-1} for a streamed one.  Counts stay below 2^63 through the
+enumeration limit, so int64 histogram bins are exact.
 
 The recursion works on the position i of the maximal value n.  In a
 132-avoider, sigma = A n B where A occupies the top i-1 values and B the
@@ -82,6 +87,7 @@ next clear.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from operator import mul
 
 import numpy as np
@@ -227,8 +233,8 @@ def clear_recursion_memo() -> None:
 # ---------------------------------------------------------------------------
 # brute force
 
-_CACHE_N_MAX = 12  # counts this small are kept; larger ones are rebuilt per call
-_count_tensors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_CACHE_N_MAX = 12  # counts this small are kept; larger ones are streamed per call
+_count_tensors: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
 
 def clear_brute_cache() -> None:
@@ -236,61 +242,107 @@ def clear_brute_cache() -> None:
     _count_tensors.clear()
 
 
+def _shorter(table: np.ndarray, k: int) -> np.ndarray:
+    """The (k, catalan(k)) table of S_k(132), a view into a longer table.
+
+    The last block of every length, the value m at position m, is the
+    previous table with m appended; so each shorter table is the first k
+    rows of the last catalan(k) columns.
+    """
+    return table[:k, table.shape[1] - catalan(k) :]
+
+
+def _write_block(out: np.ndarray, table: np.ndarray, m: int, i: int) -> None:
+    """Write every A m B with the value m at position i into out.
+
+    out is (m, catalan(i-1) * catalan(m-i)) with contiguous rows; A and B
+    come from table, the table of any length >= max(i-1, m-i).  Column
+    l * catalan(m-i) + r holds the l-th A shifted up by m - i, then m, then
+    the r-th B.  Each part is written into its rows by broadcasting through
+    a (rows, catalan(i-1), catalan(m-i)) reshape, a view since each row is
+    contiguous, with no repeated or tiled copy of either factor.
+    """
+    left = _shorter(table, i - 1)
+    right = _shorter(table, m - i)
+    ml, mr = left.shape[1], right.shape[1]
+    out[: i - 1].reshape(i - 1, ml, mr)[...] = left[:, :, None] + (m - i)
+    out[i - 1] = m
+    out[i:].reshape(m - i, ml, mr)[...] = right[:, None, :]
+
+
 def avoiders_array(n: int) -> np.ndarray:
     """All of S_n(132) as a (catalan(n), n) int8 array, one row per permutation.
 
-    Built from scratch for every length up to n, each length position-major
-    into one (m, catalan(m)) table; the result is a transposed view of the
-    last.  With the value m at position i, the block of A m B takes the next
-    catalan(i-1) * catalan(m-i) columns: column l * catalan(m-i) + r holds
-    the l-th A shifted up by m - i, then m, then the r-th B.  Each part is
-    written into its rows of the block by broadcasting through a
-    (rows, catalan(i-1), catalan(m-i)) reshape, a view since each row of the
-    block is contiguous, with no repeated or tiled copy of either factor.
+    Built from scratch, each length m <= n position-major into one
+    (m, catalan(m)) table from the table of length m - 1 alone, which holds
+    every shorter table (see _shorter); the result is a transposed view of
+    the last.  The block of the value m at position i takes the next
+    catalan(i-1) * catalan(m-i) columns, written in place by _write_block.
     """
     check_enumeration(n)
-    built = [np.zeros((0, 1), dtype=np.int8)]
+    table = np.zeros((0, 1), dtype=np.int8)
     for m in range(1, n + 1):
-        table = np.empty((m, catalan(m)), dtype=np.int8)
+        prev, table = table, np.empty((m, catalan(m)), dtype=np.int8)
         off = 0
         for i in range(1, m + 1):  # position of the value m
-            left = built[i - 1]
-            right = built[m - i]
-            ml, mr = left.shape[1], right.shape[1]
-            block = table[:, off : off + ml * mr]
-            block[: i - 1].reshape(i - 1, ml, mr)[...] = (
-                left[:, :, None] + (m - i)
-            )
-            block[i - 1] = m
-            block[i:].reshape(m - i, ml, mr)[...] = right[:, None, :]
-            off += ml * mr
-        built.append(table)
-    return built[n].T
+            width = catalan(i - 1) * catalan(m - i)
+            _write_block(table[:, off : off + width], prev, m, i)
+            off += width
+    return table.T
 
 
-def _counts_for(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values and quadrant-I counts of S_n(132), each an (n, catalan(n)) int8
-    array indexed [position, permutation]."""
+def _counts_for(n: int) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+    """Values and quadrant-I counts of S_n(132) as (values, q1) pairs of
+    (n, k) int8 arrays indexed [position, permutation].
+
+    A length above _CACHE_N_MAX comes as a generator of its blocks (see
+    _count_blocks), so a call holds the blocks one at a time, never the
+    whole length.
+    A length up to _CACHE_N_MAX is cached as its blocks joined in order
+    into one pair: the same bytes as the list of blocks, and a warm call
+    then makes n passes rather than n per block.
+    """
     cached = _count_tensors.get(n)
     if cached is not None:
         return cached
-    cols = avoiders_array(n).T
-    q1 = np.zeros_like(cols)
-    for i in range(n):
-        acc = q1[i]
-        for j in range(i + 1, n):
-            acc += cols[j] > cols[i]
+    blocks = _count_blocks(n)
     if n <= _CACHE_N_MAX:
-        _count_tensors[n] = cols, q1
-    return cols, q1
+        values = np.empty((n, catalan(n)), dtype=np.int8)
+        q1 = np.empty_like(values)
+        off = 0
+        for block, ones in blocks:
+            width = block.shape[1]
+            values[:, off : off + width] = block
+            q1[:, off : off + width] = ones
+            off += width
+        blocks = _count_tensors[n] = [(values, q1)]
+    return blocks
+
+
+def _count_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(values, q1) of S_n(132) one block at a time: block i, of
+    catalan(i-1) * catalan(n-i) permutations, holds those with n at position
+    i.  Every block comes from the one table of length n - 1 (see _shorter),
+    and its q1 from comparing every pair of positions."""
+    prev = avoiders_array(n - 1).T
+    for i in range(1, n + 1):
+        values = np.empty((n, catalan(i - 1) * catalan(n - i)), dtype=np.int8)
+        _write_block(values, prev, n, i)
+        q1 = np.zeros_like(values)
+        for p in range(n):
+            acc = q1[p]
+            for j in range(p + 1, n):
+                acc += values[j] > values[p]
+        yield values, q1
 
 
 def q_poly_bruteforce(n: int, pat) -> XPoly:
     """Q_n(x) by direct enumeration of S_n(132).
 
-    One pass per position p tests q1[p] and the values at p against the
-    bounds and adds the result into one match count per permutation; the
-    histogram of those counts is Q_n.
+    Block by block (see _counts_for), one pass per position p tests q1[p]
+    and the values at p against the bounds and adds the result into one
+    match count per permutation; the histogram of those counts, summed
+    over the blocks, is Q_n.
 
     >>> print(q_poly_bruteforce(5, (0, 1, 1, 1)))
     33+8x+x^2
@@ -301,22 +353,23 @@ def q_poly_bruteforce(n: int, pat) -> XPoly:
     check_enumeration(n)
     if n == 0:
         return ONE
-    cols, q1 = _counts_for(n)
+    hist = np.zeros(n + 1, dtype=np.int64)
     # at 0-based position p with value v: n - v points lie above, p to the
     # left and n - 1 - p to the right; bounds are clamped to n, and no length
     # that can be enumerated reaches 128, so bounds and counts fit int8
-    count = np.zeros(q1.shape[1], dtype=np.uint8)
-    for p in range(n):
-        one = q1[p]
-        ok = one >= a
-        if b or c:
-            q2 = (n - cols[p]) - one
-            if b:
-                ok &= q2 >= b
-            if c:
-                ok &= p - q2 >= c
-        if d:
-            ok &= (n - 1 - p) - one >= d
-        count += ok
-    hist = np.bincount(count, minlength=n + 1)
+    for cols, q1 in _counts_for(n):
+        count = np.zeros(q1.shape[1], dtype=np.uint8)
+        for p in range(n):
+            one = q1[p]
+            ok = one >= a
+            if b or c:
+                q2 = (n - cols[p]) - one
+                if b:
+                    ok &= q2 >= b
+                if c:
+                    ok &= p - q2 >= c
+            if d:
+                ok &= (n - 1 - p) - one >= d
+            count += ok
+        hist += np.bincount(count, minlength=n + 1)
     return XPoly(int(h) for h in hist)

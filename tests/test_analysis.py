@@ -18,6 +18,7 @@ from qmmp132 import (
     q_poly_recursive,
     top_coeff_report,
 )
+from qmmp132 import dist_engine, gf_formulas
 from qmmp132.analysis import ClosedFormCheck, SequenceExport
 from qmmp132.dist_engine import q_series_recursive
 
@@ -259,3 +260,39 @@ def test_cross_validate_catches_corrupt_dispatch():
 
 def test_cross_validate_is_deterministic():
     assert str(cross_validate(2, 5, 5)) == str(cross_validate(2, 5, 5))
+
+
+# ---------------------------------------------------------------------------
+# limits and vacuous requests, checked before any work
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        (lambda: export_sequence((8, 8, 8, 8), "x0", 65), ResourceLimitError, "got 65"),
+        (lambda: export_sequence((8, 8, 8, 8), "x0", 0), ValueError, "n_max"),
+        (lambda: check_closed_forms(n_max=65), ResourceLimitError, "got 65"),
+        (lambda: check_closed_forms(n_max=-3), ValueError, "n_max"),
+        (lambda: check_closed_forms(n_max=0), ValueError, "n_max"),
+        (lambda: check_closed_forms([], n_max=10), ValueError, "no checks"),
+        (
+            lambda: classical_equivalence_check((1, 1, 1, 0), [(1, 3, 2)], 0),
+            ValueError,
+            "n_max",
+        ),
+        (lambda: cross_validate(1, 15, 3), ResourceLimitError, "S_15"),
+        (lambda: cross_validate(1, 5, 65), ResourceLimitError, "got 65"),
+        (lambda: cross_validate(-1, 5, 5), ValueError, "entry_bound"),
+        (lambda: cross_validate(1, -1, 5), ValueError, "nonnegative"),
+        (lambda: cross_validate(1, 5, -1), ValueError, "nonnegative"),
+    ],
+)
+def test_limits_fail_before_any_row_or_table(call, error, text):
+    dist_engine.clear_recursion_memo()
+    dist_engine.clear_brute_cache()
+    gf_formulas.clear_gf_cache()
+    with pytest.raises(error, match=text):
+        call()
+    assert not dist_engine._memo
+    assert not dist_engine._count_tensors
+    assert not gf_formulas._cache

@@ -248,6 +248,20 @@ def test_xval_failure_exits_one(capsys, monkeypatch):
     assert "FAIL [brute-vs-recursion]" in out
 
 
+def test_xval_and_check_reject_what_they_cannot_check(capsys):
+    for argv, text in [
+        (("xval", "--entry-bound", "-1", "--n-max", "3", "--order", "3"), "entry_bound"),
+        (("xval", "--entry-bound", "1", "--n-max", "-1", "--order", "3"), "nonnegative"),
+        (("xval", "--entry-bound", "1", "--n-max", "15", "--order", "3"), "cap 14"),
+        (("check", "--n-max", "-3"), "n_max"),
+        (("check", "--n-max", "65"), "n <= 64"),
+        (("seq", "--pattern", "8,8,8,8", "--transform", "x0", "--n-max", "65"), "n <= 64"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert text in err, argv
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 

@@ -289,17 +289,59 @@ def test_cache_clearing_is_idempotent():
 
 
 def test_one_count_and_three_identities_give_every_quadrant():
-    """q1 by comparison, q2..q4 by counting points by value and by position."""
+    """q1 by comparison, q2..q4 by counting points by value and by position,
+    block by block."""
     for n in range(1, 9):
-        cols, q1 = dist_engine._counts_for(n)
-        assert cols.shape == q1.shape == (n, catalan(n))
-        assert (cols.T == avoiders_array(n)).all()
-        for m, perm in enumerate(avoiders_array(n).tolist()):
-            for p, v in enumerate(perm):
-                one = int(q1[p, m])
-                two = (n - v) - one
-                derived = (one, two, p - two, (n - 1 - p) - one)
-                assert derived == quadrant_counts(perm, p + 1), (perm, p)
+        blocks = list(dist_engine._count_blocks(n))
+        assert len(blocks) == n
+        for i, (values, q1) in enumerate(blocks, start=1):
+            assert values.shape == q1.shape == (n, catalan(i - 1) * catalan(n - i))
+            assert (values[i - 1] == n).all()  # block i: n at position i
+            for m, perm in enumerate(values.T.tolist()):
+                for p, v in enumerate(perm):
+                    one = int(q1[p, m])
+                    two = (n - v) - one
+                    derived = (one, two, p - two, (n - 1 - p) - one)
+                    assert derived == quadrant_counts(perm, p + 1), (perm, p)
+
+
+def test_blocks_joined_in_order_are_the_whole_table():
+    for n in range(1, 10):
+        blocks = list(dist_engine._count_blocks(n))
+        assert all(a.dtype == np.int8 for block in blocks for a in block)
+        joined = np.concatenate([values for values, _ in blocks], axis=1)
+        assert (joined == avoiders_array(n).T).all()
+        clear_brute_cache()
+        [(values, q1)] = dist_engine._counts_for(n)  # cached: one joined pair
+        assert (values == joined).all()
+        assert (q1 == np.concatenate([q for _, q in blocks], axis=1)).all()
+
+
+def test_every_shorter_table_is_a_column_suffix():
+    """The last block of each length is the previous table with the maximum
+    appended, so one table holds every shorter one."""
+    table = avoiders_array(9).T
+    for k in range(10):
+        expected = avoiders_array(k).T
+        assert (table[:k, catalan(9) - catalan(k) :] == expected).all(), k
+        assert (dist_engine._shorter(table, k) == expected).all(), k
+        assert (table[k:, catalan(9) - catalan(k) :].T == range(k + 1, 10)).all(), k
+
+
+def test_one_table_build_per_cache_miss(monkeypatch):
+    """Each rebuilt length builds only the table one shorter, and a cache hit
+    builds nothing."""
+    built = []
+
+    def counting(n):
+        built.append(n)
+        return avoiders_array(n)
+
+    monkeypatch.setattr(dist_engine, "avoiders_array", counting)
+    clear_brute_cache()
+    for n in (5, 5, 13, 12, 12, 13):
+        q_poly_bruteforce(n, (1, 0, 1, 0))
+    assert built == [4, 12, 11, 12]
 
 
 def _random_patterns(rng, n, k):
@@ -332,10 +374,11 @@ def test_bruteforce_matches_recursion_at_the_enumeration_cap():
 
 def test_bruteforce_memory_peak():
     """No (M, n, n) comparison tensor and no whole-table temporaries: a cold
-    n = 12 stays far below the 101 MiB the full quadrant tensor needed, and a
-    cold n = 13 holds little beyond its values and q1, 9.2 MiB each (numpy
-    reports to tracemalloc)."""
-    for n, bound in [(12, 40), (13, 32)]:
+    n = 12 stays far below the 101 MiB the full quadrant tensor needed.
+    Longer lengths are streamed: a cold n = 13 or 14 holds the table one
+    shorter (2.4 or 9.2 MiB) and one block with its q1, at most n * C_{n-1}
+    bytes each (numpy reports to tracemalloc)."""
+    for n, bound in [(12, 40), (13, 16), (14, 48)]:
         clear_brute_cache()
         tracemalloc.start()
         try:
