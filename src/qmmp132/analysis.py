@@ -226,9 +226,10 @@ def check_closed_forms(
 ) -> CheckReport:
     """Evaluate every registered formula against the recursion engine.
 
-    An empty registry or n_max < 1 checks nothing and raises ValueError; an
-    n_max above the recursion's limit raises ResourceLimitError before any
-    check runs.
+    An empty registry, n_max < 1, or an n_max below every check's first
+    length checks nothing and raises ValueError; an n_max above the
+    recursion's limit raises ResourceLimitError.  Both are raised before
+    any check runs.
     """
     if registry is None:
         registry = default_registry()
@@ -237,6 +238,12 @@ def check_closed_forms(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     _check_length(n_max)
+    first = min(c.validity for c in registry)
+    if first > n_max:
+        raise ValueError(
+            f"no selected check has a length up to n_max = {n_max}"
+            f" (the first starts at n = {first})"
+        )
     return CheckReport(tuple(_run_check(c, n_max) for c in registry))
 
 

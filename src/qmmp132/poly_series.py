@@ -21,15 +21,18 @@ forward, and a width of bit_length(bound) + 2 holds a coefficient:
   the packed list, bounds by the triangle inequality;
 * product u*v: one big-integer dot product per output coefficient, with
   |(uv)_n|_inf <= sum_i |u_i|_1 |v_{n-i}|_inf and the same for |.|_1;
-* reciprocal 1/u: |(1/u)_n|_1 <= r_n, r_0 = 1, r_n = sum_{k>=1} |u_k|_1 r_{n-k};
+* division v/u (`reciprocal`; 1/u without v), u_0 = +-1, by forward
+  substitution w_n = u_0 (v_n - sum_{k>=1} u_k w_{n-k}), with
+  |w_n|_1 <= r_n = |v_n|_1 + sum_{k>=1} |u_k|_1 r_{n-k};
 * solve_q00k0: the same kind of majorant, over the recurrence it runs.
 
 A series is repacked only when a bound no longer fits its width.  Every
-series of order N starts at no less than W_N = width(C_{N+2} * 2^12):
-over {0..8}^4 at order 20 and {0..4}^4 at order 40 no bound in
-`block_series` needed more than width(C_{N+2}), so the formula route runs
-at one width.  W_N only decides where packing starts; correctness rests
-on the bounds.  `TSeries.distribution`, which `dispatch` applies to each
+series of order N starts at no less than W_N = width(C_{N+2}): over
+{0..8}^4 at order 20, {0..4}^4 at order 40 and {0..3}^4 at order 60 no
+product, sum or division in `block_series` needed more, so the formula
+route runs at one width (`solve_q00k0` works at its own, and `dispatch`
+narrows its result).  W_N only decides where packing starts; correctness
+rests on the bounds.  `TSeries.distribution`, which `dispatch` applies to each
 result, checks z mod (2^L - 1) = p(1) mod (2^L - 1) against C_n, resets
 both bounds of t^n to C_n (the coefficients are counts) and moves the
 series to W_N.  Unpacking happens only on read: `coeffs` (once),
@@ -208,15 +211,16 @@ def _width(bound: int) -> int:
     return bound.bit_length() + 2
 
 
-def _inverse_terms(u: Sequence[int], sign: int) -> list[int]:
-    """w_0 = u_0, w_n = sign * sum_{k>=1} u_k w_{n-k}, for n < len(u).
+def _inverse_terms(u: Sequence[int], num: Iterable[int], sign: int) -> list[int]:
+    """w_n = num_n + sign * sum_{k>=1} u_k w_{n-k}, for each num_n.
 
-    With packed u (u_0 = +-1 = 1/u_0) and sign = -u_0 this is 1/u packed;
-    with u_k = |u_k|_1 and sign = 1 it is the majorant r_n of 1/u.
+    With packed u (u_0 = +-1 = 1/u_0), num_n = u_0 v_n and sign = -u_0
+    this is v/u packed; with every term replaced by its 1-norm and
+    sign = 1 it is the majorant r_n of v/u.
     """
-    w = [u[0]]
-    for n in range(1, len(u)):
-        w.append(sign * sum(map(mul, u[1 : n + 1], reversed(w))))
+    w: list[int] = []
+    for n, c in enumerate(num):
+        w.append(c + sign * sum(map(mul, u[1 : n + 1], reversed(w))))
     return w
 
 
@@ -247,7 +251,7 @@ def _as_xpoly(v) -> XPoly:
 
 def _floor(N: int) -> int:
     """W_N, the least width of a series of order N."""
-    return _width(catalan(N + 2) << 12)
+    return _width(catalan(N + 2))
 
 
 def _series(order: int, L: int, z, n1, ninf) -> "TSeries":
@@ -387,14 +391,19 @@ class TSeries:
         z, n1, ninf = (pad + v[:keep] for v in (self.z, self.n1, self.ninf))
         return _series(self.order, self.L, z, n1, ninf)
 
-    def reciprocal(self) -> "TSeries":
-        """Multiplicative inverse; constant term must be exactly 1 or -1."""
+    def reciprocal(self, num: "TSeries | None" = None) -> "TSeries":
+        """num / self by forward substitution, 1 / self without num; the
+        constant term of self must be exactly 1 or -1."""
         u0 = self.z[0]  # +1 or -1, self-inverse
         if u0 != 1 and u0 != -1:
             raise ValueError("reciprocal needs constant term +1 or -1")
-        r = tuple(_inverse_terms((1,) + self.n1[1:], 1))
-        L = max(self.L, _width(max(r)))
-        return _series(self.order, L, _inverse_terms(self._at(L), -u0), r, r)
+        if num is None:
+            num = TSeries.one(self.order)
+        self._check(num)
+        r = tuple(_inverse_terms(self.n1, num.n1, 1))
+        L = max(self.L, num.L, _width(max(r)))
+        v = num._at(L) if u0 == 1 else map(neg, num._at(L))
+        return _series(self.order, L, _inverse_terms(self._at(L), v, -u0), r, r)
 
     def subs_x(self, x: int) -> "TSeries":
         """Evaluate every coefficient at an integer x."""
@@ -446,7 +455,7 @@ def catalan_partial_sum(j_max: int, N: int) -> TSeries:
 
 def rational_series(num: Sequence[int], den: Sequence[int], N: int) -> TSeries:
     """Expand num(t)/den(t) to order N; den must have constant term +-1."""
-    return _int_series(N, num) * _int_series(N, den).reciprocal()
+    return _int_series(N, den).reciprocal(_int_series(N, num))
 
 
 def solve_q00k0(k: int, N: int) -> TSeries:

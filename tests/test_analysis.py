@@ -151,9 +151,15 @@ def test_check_with_empty_validity_window():
         formula=lambda n: 0,
         validity=50,
     )
-    report = check_closed_forms([check], n_max=10)
+    # a check whose first length is above n_max checks nothing; when no
+    # selected check has a length in range the request is refused
+    with pytest.raises(ValueError, match="no selected check"):
+        check_closed_forms([check], n_max=10)
+    # Q_n of (0,0,0,0) is C_n x^n: every position matches
+    applicable = ClosedFormCheck("applicable", (0, 0, 0, 0), lambda n: n, catalan, 1)
+    report = check_closed_forms([check, applicable], n_max=10)
     assert report.all_passed
-    assert "no n in range" in str(report)
+    assert "PASS never-applicable (no n in range)" in str(report)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from qmmp132 import catalan, cli
+from qmmp132 import catalan, cli, dispatch
 from qmmp132.analysis import ClosedFormCheck, XvalReport
 
 
@@ -102,9 +102,26 @@ def test_series_bounds_summing_to_the_order(capsys):
 
 
 def test_series_order_above_the_recursion_limit(capsys):
-    code, out, err = run(capsys, "series", "--pattern", "0,2,0,0", "--order", "70")
+    argv = ("series", "--pattern", "0,2,0,0", "--order", "70", "--method", "rec")
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "n <= 64" in err
+
+
+def test_single_quadrant_series_above_the_recursion_limit(capsys):
+    # the formula route serves (0,b,0,0) by its own block identity, and
+    # (0,0,0,d) as its reflection, so the recursion's limit does not apply
+    outs = []
+    for pattern in ("0,2,0,0", "0,0,0,2"):
+        argv = ("series", "--pattern", pattern, "--order", "70", "--method", "gf")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), pattern
+        outs.append(out)
+    assert outs[0] == outs[1]
+    series = dispatch((0, 2, 0, 0), 70)
+    assert outs[0] == f"{series}\n"
+    for n in range(71):
+        assert series.coeff(n).eval_at(1) == catalan(n), n
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +272,8 @@ def test_xval_and_check_reject_what_they_cannot_check(capsys):
         (("xval", "--entry-bound", "1", "--n-max", "15", "--order", "3"), "cap 14"),
         (("check", "--n-max", "-3"), "n_max"),
         (("check", "--n-max", "65"), "n <= 64"),
+        # 1111-second starts at n = 6: at --n-max 5 it would check nothing
+        (("check", "--only", "1111-second", "--n-max", "5"), "no selected check"),
         (("seq", "--pattern", "8,8,8,8", "--transform", "x0", "--n-max", "65"), "n <= 64"),
     ]:
         code, out, err = run(capsys, *argv)

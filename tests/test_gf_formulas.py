@@ -352,16 +352,45 @@ def test_bounds_summing_to_the_order_give_the_catalan_series():
 
 def test_q14_is_served_without_reflected_alias_keys():
     # 36 cold requests, (a, 0, 0, d) and (a, d, 0, 0) for a, d <= 3 at
-    # orders 20 and 30; reflecting Q14 inside its formula stored 450 keys
-    total = 0
+    # orders 20 and 30; reflecting Q14 inside its formula stored 450 keys.
+    # 36 of the 306 are (0, 1, 0, 0) and (0, 2, 0, 0): the heads that a
+    # (0, 0, 0, d) tail fetches through the (0, d, 0, 0) identity.  The
+    # only key sharing its series with another is the request's own
+    # reflection, (a, d, 0, 0) -> (a, 0, 0, d)
+    total = heads = 0
     for order in (20, 30):
         for a in range(1, 4):
             for d in range(1, 4):
                 for pat in ((a, 0, 0, d), (a, d, 0, 0)):
                     clear_gf_cache()
                     dispatch(pat, order)
-                    total += len(gf_formulas._cache)
-    assert total == 270
+                    series = list(gf_formulas._cache.values())
+                    assert len(set(map(id, series))) == len(series) - (pat[1] > 0)
+                    total += len(series)
+                    keys = [k for k, _ in gf_formulas._cache]
+                    heads += keys.count((0, 1, 0, 0)) + keys.count((0, 2, 0, 0))
+    assert (total, heads) == (306, 36)
+
+
+def test_formula_route_needs_no_recursion(monkeypatch):
+    # every shape, (0,b,0,0) and (0,0,0,d) included, comes from the block
+    # identity: the formula route is independent of the structural recursion
+    patterns = list(product(range(4), repeat=4))
+    expected = {pat: q_series_recursive(pat, 14) for pat in patterns}
+
+    def refuse(pat, N):
+        raise AssertionError(f"the formula route called the recursion for {pat}")
+
+    monkeypatch.setattr(dist_engine, "q_series_recursive", refuse)
+    monkeypatch.setattr(gf_formulas, "q_series_recursive", refuse)
+    clear_recursion_memo()
+    clear_gf_cache()
+    try:
+        for pat in patterns:
+            assert dispatch(pat, 14) == expected[pat], pat
+        assert not dist_engine._memo
+    finally:
+        clear_gf_cache()
 
 
 def test_a_corrupted_limb_trips_the_dispatch_sum_check(monkeypatch):

@@ -264,6 +264,35 @@ def test_packed_mul_and_reciprocal_match_schoolbook(data):
     assert w.reciprocal() == schoolbook_reciprocal(w)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packed_division_matches_schoolbook(data):
+    order = data.draw(st.integers(0, 12))
+    num = data.draw(series_strategy(order, big_xpolys))
+    u = data.draw(series_strategy(order, big_xpolys))
+    unit = XPoly((data.draw(st.sampled_from((1, -1))),))
+    den = TSeries(order, (unit,) + u.coeffs[1:])
+    assert den.reciprocal(num) == schoolbook_mul(num, schoolbook_reciprocal(den))
+
+
+def test_division_at_a_power_of_two_majorant():
+    # num = v x^2, den = u0 + c t with |v| = 2^190 and |c| = 2: the majorant
+    # r_n = 2^(190+n) is a power of two, and every |w_n| meets it
+    N = 12
+    for u0 in (1, -1):
+        for c in (2, -2):
+            for v in (2**190, -(2**190)):
+                den, num = TSeries(N, [u0, c]), TSeries(N, [XPoly((0, 0, v))])
+                w = den.reciprocal(num)
+                assert w.n1 == tuple(2 ** (190 + n) for n in range(N + 1))
+                assert w.L == _width(2 ** (190 + N))
+                expected = (XPoly((0, 0, v * u0 * (-c * u0) ** n)) for n in range(N + 1))
+                assert w.coeffs == tuple(expected)
+                assert w == schoolbook_mul(num, schoolbook_reciprocal(den))
+    with pytest.raises(OrderMismatchError):
+        TSeries(3, [1, 1]).reciprocal(TSeries(4, [1]))
+
+
 def test_pack_unpack_round_trip_at_limb_edge():
     for L in (2, 3, 8, 64, 127, 128, 129):
         edge = 2 ** (L - 1) - 1  # and -edge - 1 = -2^(L-1) still fits
