@@ -6,15 +6,19 @@ Both functions take a pattern of four nonnegative integer quadrant bounds
     Q_n(x) = sum over sigma in S_n(132) of x^(mmp count of sigma).
 
 Brute force accepts n <= 14 (perm_core.DEFAULT_ENUM_CAP), a fixed limit
-checked before any work.  It enumerates S_n(132) one block at a time:
-block i holds the permutations with n at position i, an
-(n, C_{i-1} C_{n-i}) int8 array written in place from the two shorter
-tables on either side of n.  Every shorter table is a column suffix of
-the length-(n-1) table, so one avoiders_array(n-1) call feeds all n
-blocks.  Points are compared for one count only: q1, the points right of
-and above each position, with one C-level pass per pair of positions.
-Lengths n <= 12 keep their values and q1, the blocks joined into one
-pair; longer lengths are streamed, one block and its q1 at a time.
+checked before any work.  It enumerates S_n(132) one block at a time,
+all from the one table of length n-2: every shorter table is a column
+suffix of it.  For 1 < i < n, block i holds the permutations with n at
+position i, an (n, C_{i-1} C_{n-i}) int8 array written in place from the
+two tables on either side of n.  With n first or last the other side is
+all of S_{n-1}(132), so that block is split by the position j of n-1
+into n-1 sub-blocks, each written from two tables of length at most n-2
+beside the row of n.  That makes 3n-4 blocks for n >= 2, none wider
+than C_{n-2}, and joined in order they are avoiders_array(n).  Points
+are compared for one count only: q1, the points right of and above each
+position, with one C-level pass per pair of positions.  Lengths n <= 11
+keep their values and q1, the blocks joined into one pair; longer
+lengths are streamed, one block and its q1 at a time.
 The other three counts follow by counting points by value and by
 position: at 0-based position p with value v, n - v points lie above, p
 to the left and n - 1 - p to the right, so
@@ -27,7 +31,7 @@ nonzero bound is one comparison on that position's row of the block, and
 the matching permutations gain one in a single uint8 count per
 permutation, which one bincount per block adds into the histogram.  So no
 temporary of the count outgrows one row: C_n entries for a cached length,
-at most C_{n-1} for a streamed one.  Counts stay below 2^63 through the
+at most C_{n-2} for a streamed one.  Counts stay below 2^63 through the
 enumeration limit, so int64 histogram bins are exact.
 
 The recursion works on the position i of the maximal value n.  In a
@@ -233,7 +237,7 @@ def clear_recursion_memo() -> None:
 # ---------------------------------------------------------------------------
 # brute force
 
-_CACHE_N_MAX = 12  # counts this small are kept; larger ones are streamed per call
+_CACHE_N_MAX = 11  # counts this small are kept; larger ones are streamed per call
 _count_tensors: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
 
@@ -252,22 +256,22 @@ def _shorter(table: np.ndarray, k: int) -> np.ndarray:
     return table[:k, table.shape[1] - catalan(k) :]
 
 
-def _write_block(out: np.ndarray, table: np.ndarray, m: int, i: int) -> None:
-    """Write every A m B with the value m at position i into out.
+def _write_block(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """Write every A m B into out, A from the table left and B from right.
 
-    out is (m, catalan(i-1) * catalan(m-i)) with contiguous rows; A and B
-    come from table, the table of any length >= max(i-1, m-i).  Column
+    left and right are the (i-1, catalan(i-1)) and (m-i, catalan(m-i))
+    tables of S_{i-1}(132) and S_{m-i}(132), and out is
+    (m, catalan(i-1) * catalan(m-i)) with contiguous rows.  Column
     l * catalan(m-i) + r holds the l-th A shifted up by m - i, then m, then
     the r-th B.  Each part is written into its rows by broadcasting through
     a (rows, catalan(i-1), catalan(m-i)) reshape, a view since each row is
-    contiguous, with no repeated or tiled copy of either factor.
+    contiguous, with no repeated, tiled or shifted copy of either factor.
     """
-    left = _shorter(table, i - 1)
-    right = _shorter(table, m - i)
-    ml, mr = left.shape[1], right.shape[1]
-    out[: i - 1].reshape(i - 1, ml, mr)[...] = left[:, :, None] + (m - i)
-    out[i - 1] = m
-    out[i:].reshape(m - i, ml, mr)[...] = right[:, None, :]
+    k, ml = left.shape  # k = i - 1
+    r, mr = right.shape  # r = m - i
+    np.add(left[:, :, None], r, out=out[:k].reshape(k, ml, mr))
+    out[k] = k + 1 + r
+    out[k + 1 :].reshape(r, ml, mr)[...] = right[:, None, :]
 
 
 def avoiders_array(n: int) -> np.ndarray:
@@ -286,7 +290,8 @@ def avoiders_array(n: int) -> np.ndarray:
         off = 0
         for i in range(1, m + 1):  # position of the value m
             width = catalan(i - 1) * catalan(m - i)
-            _write_block(table[:, off : off + width], prev, m, i)
+            left, right = _shorter(prev, i - 1), _shorter(prev, m - i)
+            _write_block(table[:, off : off + width], left, right)
             off += width
     return table.T
 
@@ -295,9 +300,10 @@ def _counts_for(n: int) -> Iterable[tuple[np.ndarray, np.ndarray]]:
     """Values and quadrant-I counts of S_n(132) as (values, q1) pairs of
     (n, k) int8 arrays indexed [position, permutation].
 
-    A length above _CACHE_N_MAX comes as a generator of its blocks (see
-    _count_blocks), so a call holds the blocks one at a time, never the
-    whole length.
+    Either way the only table avoiders_array builds is the one of length
+    n - 2 (see _count_blocks).  A length above _CACHE_N_MAX, 12 to 14, comes as a
+    generator of its blocks, so a call holds the table and one block at a
+    time, never the whole length.
     A length up to _CACHE_N_MAX is cached as its blocks joined in order
     into one pair: the same bytes as the list of blocks, and a warm call
     then makes n passes rather than n per block.
@@ -319,21 +325,40 @@ def _counts_for(n: int) -> Iterable[tuple[np.ndarray, np.ndarray]]:
     return blocks
 
 
-def _count_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(values, q1) of S_n(132) one block at a time: block i, of
-    catalan(i-1) * catalan(n-i) permutations, holds those with n at position
-    i.  Every block comes from the one table of length n - 1 (see _shorter),
-    and its q1 from comparing every pair of positions."""
-    prev = avoiders_array(n - 1).T
+def _block_layout(n: int) -> Iterator[tuple[slice, int, int]]:
+    """(rows, |A|, |B|) of each block of S_n(132), in avoiders_array's order.
+
+    For 1 < i < n, block i is every A n B with n at position i, over all n
+    rows.  With n at position 1 or n, the other side is all of S_{n-1}(132),
+    itself A (n-1) B split by the position j of n - 1: one sub-block per j,
+    written into the n - 1 rows after or before the row of n.
+    """
     for i in range(1, n + 1):
-        values = np.empty((n, catalan(i - 1) * catalan(n - i)), dtype=np.int8)
-        _write_block(values, prev, n, i)
+        if 1 < i < n or n == 1:
+            yield slice(None), i - 1, n - i
+        else:
+            rows = slice(1, None) if i == 1 else slice(None, -1)
+            for j in range(1, n):
+                yield rows, j - 1, n - 1 - j
+
+
+def _count_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(values, q1) of S_n(132) one block at a time (see _block_layout):
+    3n - 4 blocks for n >= 2, each at most catalan(n-2) permutations wide.
+    Every block comes from the one table of length n - 2 (see _shorter),
+    and its q1 from comparing every pair of positions."""
+    table = avoiders_array(max(n - 2, 0)).T
+    for rows, na, nb in _block_layout(n):
+        left, right = _shorter(table, na), _shorter(table, nb)
+        values = np.full((n, left.shape[1] * right.shape[1]), n, dtype=np.int8)
+        _write_block(values[rows], left, right)
         q1 = np.zeros_like(values)
         for p in range(n):
             acc = q1[p]
             for j in range(p + 1, n):
                 acc += values[j] > values[p]
         yield values, q1
+        del values, q1  # so the caller can free this block before the next
 
 
 def q_poly_bruteforce(n: int, pat) -> XPoly:
@@ -372,4 +397,5 @@ def q_poly_bruteforce(n: int, pat) -> XPoly:
                 ok &= (n - 1 - p) - one >= d
             count += ok
         hist += np.bincount(count, minlength=n + 1)
+        del cols, q1  # a streamed block is freed before the next is built
     return XPoly(int(h) for h in hist)

@@ -90,7 +90,7 @@ class Route(Enum):
     Q234 = "q234"  # (0, b, c, d)
     Q124 = "q124"  # (a, b, 0, d)
     Q1234 = "q1234"  # all four nonzero
-    ENGINE = "engine"  # (0, b, 0, 0) / (0, 0, 0, d); the benchmark tracer reads it
+    ENGINE = "engine"  # (0, b, 0, 0); the benchmark tracer reads it
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class GfRequest:
 
 
 # nonzero coordinates of (a, b, c, d) -> (route, coordinates in args);
-# the three shapes missing here are served by their reflection
+# the four shapes missing here are served by their reflection
 _SHAPES: dict[tuple[int, ...], tuple[Route, tuple[int, ...]]] = {
     (): (Route.Q1, (0,)),
     (0,): (Route.Q1, (0,)),
@@ -130,7 +130,6 @@ _SHAPES: dict[tuple[int, ...], tuple[Route, tuple[int, ...]]] = {
     (0, 1, 3): (Route.Q124, (0, 1, 3)),
     (0, 1, 2, 3): (Route.Q1234, (0, 1, 2, 3)),
     (1,): (Route.ENGINE, (0, 1, 2, 3)),
-    (3,): (Route.ENGINE, (0, 1, 2, 3)),
 }
 
 _cache: dict[tuple[tuple[int, int, int, int], int], TSeries] = {}

@@ -293,10 +293,14 @@ def test_one_count_and_three_identities_give_every_quadrant():
     block by block."""
     for n in range(1, 9):
         blocks = list(dist_engine._count_blocks(n))
-        assert len(blocks) == n
-        for i, (values, q1) in enumerate(blocks, start=1):
-            assert values.shape == q1.shape == (n, catalan(i - 1) * catalan(n - i))
-            assert (values[i - 1] == n).all()  # block i: n at position i
+        # n first and n last are split by the position of n - 1
+        where = [1] if n == 1 else [1] * (n - 1) + list(range(2, n)) + [n] * (n - 1)
+        assert len(blocks) == len(where) == max(3 * n - 4, 1)
+        for i, (values, q1) in zip(where, blocks):
+            assert values.shape == q1.shape
+            assert values.shape[0] == n
+            assert values.shape[1] <= catalan(max(n - 2, 0))
+            assert (values[i - 1] == n).all()  # n at position i
             for m, perm in enumerate(values.T.tolist()):
                 for p, v in enumerate(perm):
                     one = int(q1[p, m])
@@ -306,7 +310,7 @@ def test_one_count_and_three_identities_give_every_quadrant():
 
 
 def test_blocks_joined_in_order_are_the_whole_table():
-    for n in range(1, 10):
+    for n in range(1, 11):
         blocks = list(dist_engine._count_blocks(n))
         assert all(a.dtype == np.int8 for block in blocks for a in block)
         joined = np.concatenate([values for values, _ in blocks], axis=1)
@@ -329,8 +333,8 @@ def test_every_shorter_table_is_a_column_suffix():
 
 
 def test_one_table_build_per_cache_miss(monkeypatch):
-    """Each rebuilt length builds only the table one shorter, and a cache hit
-    builds nothing."""
+    """Each rebuilt length builds only the table two shorter, and a cache hit
+    builds nothing; lengths above 11 are rebuilt on every call."""
     built = []
 
     def counting(n):
@@ -341,7 +345,7 @@ def test_one_table_build_per_cache_miss(monkeypatch):
     clear_brute_cache()
     for n in (5, 5, 13, 12, 12, 13):
         q_poly_bruteforce(n, (1, 0, 1, 0))
-    assert built == [4, 12, 11, 12]
+    assert built == [3, 11, 10, 10, 11]
 
 
 def _random_patterns(rng, n, k):
@@ -351,13 +355,13 @@ def _random_patterns(rng, n, k):
     return fixed + [tuple(rng.choice(choices) for _ in range(4)) for _ in range(k)]
 
 
-def test_bruteforce_matches_recursion_at_12_cold_then_warm():
+def test_bruteforce_matches_recursion_at_12_streamed():
     rng = random.Random(1312)
     clear_brute_cache()
-    for k, pat in enumerate(_random_patterns(rng, 12, 16)):
-        if k:
-            assert 12 in dist_engine._count_tensors  # served warm
+    q_poly_bruteforce(11, (1, 1, 1, 1))
+    for pat in _random_patterns(rng, 12, 16):
         assert q_poly_bruteforce(12, pat) == q_poly_recursive(12, pat), pat
+    assert list(dist_engine._count_tensors) == [11]  # 11 cached, 12 streamed
 
 
 def test_bruteforce_matches_recursion_at_13_uncached():
@@ -373,12 +377,11 @@ def test_bruteforce_matches_recursion_at_the_enumeration_cap():
 
 
 def test_bruteforce_memory_peak():
-    """No (M, n, n) comparison tensor and no whole-table temporaries: a cold
-    n = 12 stays far below the 101 MiB the full quadrant tensor needed.
-    Longer lengths are streamed: a cold n = 13 or 14 holds the table one
-    shorter (2.4 or 9.2 MiB) and one block with its q1, at most n * C_{n-1}
+    """No (M, n, n) comparison tensor and no whole-table temporaries.
+    Lengths 12 to 14 are streamed: a cold call holds the table two shorter
+    (0.16, 0.62 or 2.4 MiB) and one block with its q1, at most n * C_{n-2}
     bytes each (numpy reports to tracemalloc)."""
-    for n, bound in [(12, 40), (13, 16), (14, 48)]:
+    for n, bound in [(12, 3), (13, 6), (14, 20)]:
         clear_brute_cache()
         tracemalloc.start()
         try:
@@ -390,11 +393,11 @@ def test_bruteforce_memory_peak():
 
 
 def test_warm_cache_does_not_bypass_the_enumeration_cap(monkeypatch):
-    q_poly_bruteforce(12, (1, 0, 1, 0))
-    assert 12 in dist_engine._count_tensors
+    q_poly_bruteforce(11, (1, 0, 1, 0))
+    assert 11 in dist_engine._count_tensors
     # the one check runs before any cache read or table build
-    monkeypatch.setattr("qmmp132.perm_core.DEFAULT_ENUM_CAP", 11)
-    with pytest.raises(ResourceLimitError, match=r"S_12\(132\) exceeds cap 11"):
-        q_poly_bruteforce(12, (1, 0, 1, 0))
-    with pytest.raises(ResourceLimitError, match=r"S_12\(132\) exceeds cap 11"):
-        avoiders_array(12)
+    monkeypatch.setattr("qmmp132.perm_core.DEFAULT_ENUM_CAP", 10)
+    with pytest.raises(ResourceLimitError, match=r"S_11\(132\) exceeds cap 10"):
+        q_poly_bruteforce(11, (1, 0, 1, 0))
+    with pytest.raises(ResourceLimitError, match=r"S_11\(132\) exceeds cap 10"):
+        avoiders_array(11)

@@ -47,13 +47,15 @@ def test_choose_route_direct_shapes():
         (2, 1, 0, 3): (Route.Q124, (2, 1, 3)),
         (1, 2, 3, 4): (Route.Q1234, (1, 2, 3, 4)),
         (0, 2, 0, 0): (Route.ENGINE, (0, 2, 0, 0)),
-        (0, 0, 0, 2): (Route.ENGINE, (0, 0, 0, 2)),
     }
     for pat, (route, args) in cases.items():
         req = choose_route(pat, 6)
         assert (req.route, req.args) == (route, args), pat
         assert req.pattern == pat
         assert req.order == 6
+        clear_gf_cache()
+        dispatch(swap_b_d(pat), 20)  # each cold request builds each series once
+        _assert_one_series_per_canonical_pattern(lambda p: choose_route(p, 20).pattern)
 
 
 def test_choose_route_reflected_shapes():
@@ -65,6 +67,8 @@ def test_choose_route_reflected_shapes():
     assert choose_route((0, 0, 3, 1), 6).args == (1, 3)
     assert choose_route((1, 0, 1, 1), 6).route is Route.Q123
     assert choose_route((1, 0, 1, 1), 6).args == (1, 1, 1)
+    assert choose_route((0, 0, 0, 2), 6).route is Route.ENGINE
+    assert choose_route((0, 0, 0, 2), 6).pattern == (0, 2, 0, 0)
 
 
 def test_choose_route_validation():
@@ -350,26 +354,31 @@ def test_bounds_summing_to_the_order_give_the_catalan_series():
     assert series.int_coeffs() == [catalan(n) for n in range(401)]
 
 
+def _assert_one_series_per_canonical_pattern(canonical):
+    """Cached keys with one canonical pattern share one series, and distinct
+    series have distinct canonical patterns: nothing is built twice."""
+    ids: dict[tuple, set[int]] = {}
+    for (pat, order), series in gf_formulas._cache.items():
+        ids.setdefault((canonical(pat), order), set()).add(id(series))
+    assert all(len(s) == 1 for s in ids.values()), ids
+    assert len(set().union(*ids.values())) == len(ids)
+
+
 def test_q14_is_served_without_reflected_alias_keys():
-    # 36 cold requests, (a, 0, 0, d) and (a, d, 0, 0) for a, d <= 3 at
-    # orders 20 and 30; reflecting Q14 inside its formula stored 450 keys.
-    # 36 of the 306 are (0, 1, 0, 0) and (0, 2, 0, 0): the heads that a
-    # (0, 0, 0, d) tail fetches through the (0, d, 0, 0) identity.  The
-    # only key sharing its series with another is the request's own
-    # reflection, (a, d, 0, 0) -> (a, 0, 0, d)
-    total = heads = 0
+    # cold requests (a, 0, 0, d) and (a, d, 0, 0) for a, d <= 3 at orders 20
+    # and 30; a (0, 0, 0, d) tail is reflected to the (0, d, 0, 0) head it
+    # shares, so dispatch((1, 0, 0, 2), 20) builds (0, 1, 0, 0) once
     for order in (20, 30):
         for a in range(1, 4):
             for d in range(1, 4):
                 for pat in ((a, 0, 0, d), (a, d, 0, 0)):
                     clear_gf_cache()
                     dispatch(pat, order)
-                    series = list(gf_formulas._cache.values())
-                    assert len(set(map(id, series))) == len(series) - (pat[1] > 0)
-                    total += len(series)
-                    keys = [k for k, _ in gf_formulas._cache]
-                    heads += keys.count((0, 1, 0, 0)) + keys.count((0, 2, 0, 0))
-    assert (total, heads) == (306, 36)
+                    # no key here has both b and d nonzero, so a pattern
+                    # and its reflection share one series
+                    _assert_one_series_per_canonical_pattern(
+                        lambda p: min(p, swap_b_d(p))
+                    )
 
 
 def test_formula_route_needs_no_recursion(monkeypatch):
