@@ -6,19 +6,20 @@ Both functions take a pattern of four nonnegative integer quadrant bounds
     Q_n(x) = sum over sigma in S_n(132) of x^(mmp count of sigma).
 
 Brute force accepts n <= 14 (perm_core.DEFAULT_ENUM_CAP), a fixed limit
-checked before any work.  It enumerates S_n(132) one block at a time,
-all from the one table of length n-2: every shorter table is a column
-suffix of it.  For 1 < i < n, block i holds the permutations with n at
-position i, an (n, C_{i-1} C_{n-i}) int8 array written in place from the
+checked before any work.  One generator, _blocks, holds its one layout
+of S_n(132): blocks of A n B, all read from the one table of length n-2,
+in which every shorter table is a column suffix.  For 1 < i < n, block i
+holds the permutations with n at position i, written in place from the
 two tables on either side of n.  With n first or last the other side is
 all of S_{n-1}(132), so that block is split by the position j of n-1
 into n-1 sub-blocks, each written from two tables of length at most n-2
-beside the row of n.  That makes 3n-4 blocks for n >= 2, none wider
-than C_{n-2}, and joined in order they are avoiders_array(n).  Points
-are compared for one count only: q1, the points right of and above each
-position, with one C-level pass per pair of positions.  Lengths n <= 11
-keep their values and q1, the blocks joined into one pair; longer
-lengths are streamed, one block and its q1 at a time.
+beside the row of n.  That makes 3n-4 blocks for n >= 2, none wider than
+C_{n-2}.  avoiders_array writes them in order into one table, and so
+builds lengths n, n-2, n-4, ...; lengths n <= 11 are cached as that
+table and its q1, and longer lengths are streamed, each block written
+into a fresh array with its q1.  Points are compared for one count
+only: q1, the points right of and above each position, with one C-level
+pass per pair of positions (_q1).
 The other three counts follow by counting points by value and by
 position: at 0-based position p with value v, n - v points lie above, p
 to the left and n - 1 - p to the right, so
@@ -274,91 +275,85 @@ def _write_block(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
     out[k + 1 :].reshape(r, ml, mr)[...] = right[:, None, :]
 
 
+def _blocks(n: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """(rows, A table, B table) of each block of S_n(132), in row order.
+
+    The one block layout of brute force (see the module docstring).  Block
+    i, 1 < i < n, spans all n rows; with n first or last, one sub-block per
+    position j of n - 1 spans the n - 1 rows after or before the row of n.
+    Every A and B table is a view into the one table of length n - 2.
+    """
+    table = avoiders_array(n - 2).T if n > 1 else np.zeros((0, 1), dtype=np.int8)
+    for i in range(1, n + 1):
+        if 1 < i < n or n == 1:
+            yield slice(None), _shorter(table, i - 1), _shorter(table, n - i)
+        else:
+            rows = slice(1, None) if i == 1 else slice(None, -1)
+            for j in range(1, n):
+                yield rows, _shorter(table, j - 1), _shorter(table, n - 1 - j)
+
+
 def avoiders_array(n: int) -> np.ndarray:
     """All of S_n(132) as a (catalan(n), n) int8 array, one row per permutation.
 
-    Built from scratch, each length m <= n position-major into one
-    (m, catalan(m)) table from the table of length m - 1 alone, which holds
-    every shorter table (see _shorter); the result is a transposed view of
-    the last.  The block of the value m at position i takes the next
-    catalan(i-1) * catalan(m-i) columns, written in place by _write_block.
+    One (n, catalan(n)) table, filled with n, takes the blocks of _blocks
+    in order, each written in place into its next column slice by
+    _write_block; the result is a transposed view.  The blocks read the
+    table of length n - 2 alone, so a call builds lengths n, n - 2, n - 4,
+    and so on down to 1 or 0.
     """
     check_enumeration(n)
-    table = np.zeros((0, 1), dtype=np.int8)
-    for m in range(1, n + 1):
-        prev, table = table, np.empty((m, catalan(m)), dtype=np.int8)
-        off = 0
-        for i in range(1, m + 1):  # position of the value m
-            width = catalan(i - 1) * catalan(m - i)
-            left, right = _shorter(prev, i - 1), _shorter(prev, m - i)
-            _write_block(table[:, off : off + width], left, right)
-            off += width
+    table = np.full((n, catalan(n)), n, dtype=np.int8)
+    off = 0
+    for rows, left, right in _blocks(n):
+        width = left.shape[1] * right.shape[1]
+        _write_block(table[rows, off : off + width], left, right)
+        off += width
     return table.T
+
+
+def _q1(values: np.ndarray) -> np.ndarray:
+    """Quadrant-I counts of the (n, k) values array, indexed [position,
+    permutation]: the points right of and above each position, with one
+    C-level pass per pair of positions."""
+    n = values.shape[0]
+    q1 = np.zeros_like(values)
+    for p in range(n):
+        acc = q1[p]
+        for j in range(p + 1, n):
+            acc += values[j] > values[p]
+    return q1
 
 
 def _counts_for(n: int) -> Iterable[tuple[np.ndarray, np.ndarray]]:
     """Values and quadrant-I counts of S_n(132) as (values, q1) pairs of
     (n, k) int8 arrays indexed [position, permutation].
 
-    Either way the only table avoiders_array builds is the one of length
-    n - 2 (see _count_blocks).  A length above _CACHE_N_MAX, 12 to 14, comes as a
-    generator of its blocks, so a call holds the table and one block at a
-    time, never the whole length.
-    A length up to _CACHE_N_MAX is cached as its blocks joined in order
-    into one pair: the same bytes as the list of blocks, and a warm call
-    then makes n passes rather than n per block.
+    A length up to _CACHE_N_MAX is cached as one pair: the whole table of
+    avoiders_array and one q1 pass over it, so a warm call makes n passes
+    in all.  A length above it, 12 to 14, comes as the generator
+    _count_blocks, so a call holds the table of length n - 2 and one block
+    at a time, never the whole length.
     """
     cached = _count_tensors.get(n)
     if cached is not None:
         return cached
-    blocks = _count_blocks(n)
-    if n <= _CACHE_N_MAX:
-        values = np.empty((n, catalan(n)), dtype=np.int8)
-        q1 = np.empty_like(values)
-        off = 0
-        for block, ones in blocks:
-            width = block.shape[1]
-            values[:, off : off + width] = block
-            q1[:, off : off + width] = ones
-            off += width
-        blocks = _count_tensors[n] = [(values, q1)]
-    return blocks
-
-
-def _block_layout(n: int) -> Iterator[tuple[slice, int, int]]:
-    """(rows, |A|, |B|) of each block of S_n(132), in avoiders_array's order.
-
-    For 1 < i < n, block i is every A n B with n at position i, over all n
-    rows.  With n at position 1 or n, the other side is all of S_{n-1}(132),
-    itself A (n-1) B split by the position j of n - 1: one sub-block per j,
-    written into the n - 1 rows after or before the row of n.
-    """
-    for i in range(1, n + 1):
-        if 1 < i < n or n == 1:
-            yield slice(None), i - 1, n - i
-        else:
-            rows = slice(1, None) if i == 1 else slice(None, -1)
-            for j in range(1, n):
-                yield rows, j - 1, n - 1 - j
+    if n > _CACHE_N_MAX:
+        return _count_blocks(n)
+    values = avoiders_array(n).T
+    _count_tensors[n] = [(values, _q1(values))]
+    return _count_tensors[n]
 
 
 def _count_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(values, q1) of S_n(132) one block at a time (see _block_layout):
-    3n - 4 blocks for n >= 2, each at most catalan(n-2) permutations wide.
-    Every block comes from the one table of length n - 2 (see _shorter),
-    and its q1 from comparing every pair of positions."""
-    table = avoiders_array(max(n - 2, 0)).T
-    for rows, na, nb in _block_layout(n):
-        left, right = _shorter(table, na), _shorter(table, nb)
+    """(values, q1) of S_n(132) one block of _blocks at a time, each
+    written into a fresh array filled with n, at most catalan(n-2)
+    permutations wide."""
+    for rows, left, right in _blocks(n):
         values = np.full((n, left.shape[1] * right.shape[1]), n, dtype=np.int8)
         _write_block(values[rows], left, right)
-        q1 = np.zeros_like(values)
-        for p in range(n):
-            acc = q1[p]
-            for j in range(p + 1, n):
-                acc += values[j] > values[p]
-        yield values, q1
-        del values, q1  # so the caller can free this block before the next
+        yield values, _q1(values)
+        del values  # so the caller can free this block before the next
 
 
 def q_poly_bruteforce(n: int, pat) -> XPoly:

@@ -32,16 +32,17 @@ identity, and (0, 0, 0, d) is computed as its reflection, so no series
 here comes from the structural recursion.
 
 `dispatch` clamps every bound to the order, reflects (a, b, c, d) ->
-(a, d, c, b) when the zero-shape has no `Route` of its own (reflection
-corresponds to inverting the permutation, which swaps quadrants II and
-IV and preserves the distribution), and hands the pattern to
-`block_series`.  Bounds that sum to the order or more leave no match up
-to it, and get the Catalan series without it.  There is one cache,
-at `dispatch`: each series is stored under (reflected pattern, order),
-and a reflected request's own key points at the same series.  Before
-it is stored, each t^n coefficient is checked to sum to C_n
-(`TSeries.distribution`), which also sets the series' carried bounds to
-those counts.  `block_series` fetches its sub-series through `dispatch`.
+(a, d, c, b) when the zero-shape has no `Route` of its own or when
+0 < d < b (reflection corresponds to inverting the permutation, which
+swaps quadrants II and IV and preserves the distribution), and hands
+the pattern to `block_series`.  Bounds that sum to the order or more
+leave no match up to it, and get the Catalan series without it.  There
+is one cache, at `dispatch`: each series is stored under (reflected
+pattern, order), and a reflected request's own key points at the same
+series.  Before it is stored, each t^n coefficient is checked to sum to
+C_n (`TSeries.distribution`), which also sets the series' carried
+bounds to those counts.  `block_series` fetches its sub-series through
+`dispatch`.
 
 Everything is exact integer arithmetic; results agree coefficient by
 coefficient with the enumeration and recursion engines and are
@@ -98,11 +99,11 @@ class GfRequest:
     """A routed request: which series to build, how, and to what order.
 
     ``pattern`` is the canonical pattern: the request reflected when its
-    own shape has no route, which is also the key `dispatch` caches
-    under and what `block_series` is given.  ``args`` holds the
-    nonzero bounds of ``pattern`` (the full four-tuple for
-    ``Route.ENGINE``); the package does not read it, and it stays because
-    the benchmark's span tracer labels requests by it.
+    own shape has no route or 0 < d < b (see `choose_route`), which is
+    also the key `dispatch` caches under and what `block_series` is
+    given.  ``args`` holds the nonzero bounds of ``pattern`` (the full
+    four-tuple for ``Route.ENGINE``); the package does not read it, and it
+    stays because the benchmark's span tracer labels requests by it.
     """
 
     pattern: tuple[int, int, int, int]
@@ -144,11 +145,13 @@ def choose_route(pattern, order: int) -> GfRequest:
     """Classify a pattern by its zero-shape and pick the route for it.
 
     Reflection (a, b, c, d) -> (a, d, c, b) is applied exactly when the
-    original shape has no route but the reflected one does.
+    original shape has no route but the reflected one does, or when
+    0 < d < b; so b <= d whenever both are nonzero, and a distribution
+    and its reflection share one key.
     """
     pat = natural_pattern(pattern)
     shape = tuple(i for i, v in enumerate(pat) if v)
-    if shape not in _SHAPES:
+    if shape not in _SHAPES or 0 < pat[3] < pat[1]:
         pat = swap_b_d(pat)
         shape = tuple(i for i, v in enumerate(pat) if v)
     route, coords = _SHAPES[shape]
@@ -158,8 +161,8 @@ def choose_route(pattern, order: int) -> GfRequest:
 def dispatch(pattern, order: int) -> TSeries:
     """Series of the given order for any all-natural pattern.
 
-    Every shape goes to `block_series`, reflected first where the
-    zero-shape needs it (`choose_route`).  Bounds are first clamped to
+    Every shape goes to `block_series`, reflected first where
+    `choose_route` canonicalises it.  Bounds are first clamped to
     the order: every bound of N or more is equally unsatisfiable up to
     t^N.  A match needs a + b + c + d other points, one set per quadrant,
     so a length-n position has at most n - 1 of them; when the clamped

@@ -56,13 +56,26 @@ def _is_count(bound) -> bool:
     return isinstance(bound, int) and not isinstance(bound, bool) and bound >= 0
 
 
+def _checked(pat, natural: bool = False) -> MmpPattern:
+    """The one pattern check: a 4-tuple of bounds, each a nonnegative int
+    or, unless natural, EMPTY."""
+    if not (isinstance(pat, tuple) and len(pat) == 4):
+        raise ValueError(f"pattern must be a 4-tuple of bounds, got {pat!r}")
+    for bound in pat:
+        if bound is EMPTY and natural:
+            raise ValueError(
+                f"numeric bounds only, got {pat!r}; empty-quadrant patterns "
+                "(e tokens) are supported by mmp_count and the stat command"
+            )
+        if bound is not EMPTY and not _is_count(bound):
+            kind = "a nonnegative int" + ("" if natural else " or EMPTY")
+            raise ValueError(f"bound must be {kind}: {bound!r}")
+    return pat
+
+
 def make_pattern(a, b, c, d) -> MmpPattern:
     """Validate and build a pattern of four quadrant bounds."""
-    pat = (a, b, c, d)
-    for bound in pat:
-        if bound is not EMPTY and not _is_count(bound):
-            raise ValueError(f"bound must be a nonnegative int or EMPTY: {bound!r}")
-    return pat
+    return _checked((a, b, c, d))
 
 
 def parse_pattern(text: str) -> MmpPattern:
@@ -89,11 +102,6 @@ def format_pattern(pat: MmpPattern) -> str:
     return ",".join("e" if b is EMPTY else str(b) for b in pat)
 
 
-def is_all_natural(pat: MmpPattern) -> bool:
-    """True when no coordinate is EMPTY."""
-    return all(b is not EMPTY for b in pat)
-
-
 def natural_pattern(pat, n: int | None = None) -> tuple[int, int, int, int]:
     """Validate an all-natural pattern: a 4-tuple of nonnegative ints.
 
@@ -106,18 +114,8 @@ def natural_pattern(pat, n: int | None = None) -> tuple[int, int, int, int]:
     >>> natural_pattern((1, 99, 0, 2), n=5)
     (1, 5, 0, 2)
     """
-    if not (isinstance(pat, tuple) and len(pat) == 4):
-        raise ValueError(f"pattern must be a 4-tuple of bounds, got {pat!r}")
-    if not is_all_natural(pat):
-        raise ValueError(
-            f"numeric bounds only, got {pat!r}; empty-quadrant patterns "
-            "(e tokens) are supported by mmp_count and the stat command"
-        )
-    if not all(_is_count(b) for b in pat):
-        raise ValueError(f"bounds must be nonnegative ints, got {pat!r}")
-    if n is None:
-        return pat
-    return tuple(min(b, n) for b in pat)
+    _checked(pat, natural=True)
+    return pat if n is None else tuple(min(b, n) for b in pat)
 
 
 def quadrant_counts(p: Sequence[int], i: int) -> tuple[int, int, int, int]:
@@ -154,7 +152,7 @@ def _satisfies(count: int, bound) -> bool:
 def matches_at(p: Sequence[int], i: int, pat: MmpPattern) -> bool:
     """True when every quadrant count around position i meets its bound."""
     counts = quadrant_counts(p, i)
-    return all(_satisfies(c, b) for c, b in zip(counts, pat))
+    return all(_satisfies(c, b) for c, b in zip(counts, _checked(pat)))
 
 
 def mmp_count(p: Sequence[int], pat: MmpPattern) -> int:
@@ -163,6 +161,7 @@ def mmp_count(p: Sequence[int], pat: MmpPattern) -> int:
     >>> mmp_count(parse_perm("341256"), make_pattern(1, 1, 1, 0))
     1
     """
+    _checked(pat)
     return sum(1 for i in range(1, len(p) + 1) if matches_at(p, i, pat))
 
 
@@ -183,7 +182,6 @@ __all__ = [
     "make_pattern",
     "parse_pattern",
     "format_pattern",
-    "is_all_natural",
     "natural_pattern",
     "quadrant_counts",
     "matches_at",

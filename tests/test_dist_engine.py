@@ -273,6 +273,25 @@ def test_avoiders_array_matches_generator():
     ]
 
 
+def _documented_order(n):
+    """S_n(132) as plain tuples in the documented row order: by the position
+    i of n, then the left part A (on the top i - 1 values), then the right
+    part B, each of them in this same order."""
+    if n == 0:
+        return [()]
+    return [
+        tuple(v + n - i for v in a) + (n,) + b
+        for i in range(1, n + 1)
+        for a in _documented_order(i - 1)
+        for b in _documented_order(n - i)
+    ]
+
+
+def test_avoiders_array_rows_follow_the_documented_order():
+    for n in range(10):
+        assert avoiders_array(n).tolist() == [list(p) for p in _documented_order(n)]
+
+
 def test_avoiders_array_limits():
     with pytest.raises(ValueError):
         avoiders_array(-1)
@@ -316,7 +335,7 @@ def test_blocks_joined_in_order_are_the_whole_table():
         joined = np.concatenate([values for values, _ in blocks], axis=1)
         assert (joined == avoiders_array(n).T).all()
         clear_brute_cache()
-        [(values, q1)] = dist_engine._counts_for(n)  # cached: one joined pair
+        [(values, q1)] = dist_engine._counts_for(n)  # cached: one pair, the whole table
         assert (values == joined).all()
         assert (q1 == np.concatenate([q for _, q in blocks], axis=1)).all()
 
@@ -333,8 +352,9 @@ def test_every_shorter_table_is_a_column_suffix():
 
 
 def test_one_table_build_per_cache_miss(monkeypatch):
-    """Each rebuilt length builds only the table two shorter, and a cache hit
-    builds nothing; lengths above 11 are rebuilt on every call."""
+    """A cache hit builds nothing.  A cached miss builds its own table, which
+    reads the table two shorter, and so on down; a streamed length (above
+    11, rebuilt on every call) starts two shorter."""
     built = []
 
     def counting(n):
@@ -345,7 +365,8 @@ def test_one_table_build_per_cache_miss(monkeypatch):
     clear_brute_cache()
     for n in (5, 5, 13, 12, 12, 13):
         q_poly_bruteforce(n, (1, 0, 1, 0))
-    assert built == [3, 11, 10, 10, 11]
+    odd, even = list(range(11, 0, -2)), list(range(10, -1, -2))
+    assert built == [5, 3, 1] + odd + even + even + odd
 
 
 def _random_patterns(rng, n, k):

@@ -41,17 +41,18 @@ def test_choose_route_direct_shapes():
         (2, 0, 3, 0): (Route.Q13, (2, 3)),
         (2, 0, 0, 1): (Route.Q14, (2, 1)),
         (0, 2, 3, 0): (Route.Q23, (2, 3)),
-        (0, 2, 0, 1): (Route.Q24, (2, 1)),
+        (0, 2, 0, 1): (Route.Q24, (1, 2)),
         (2, 1, 3, 0): (Route.Q123, (2, 1, 3)),
-        (0, 2, 3, 1): (Route.Q234, (2, 3, 1)),
+        (0, 2, 3, 1): (Route.Q234, (1, 3, 2)),
         (2, 1, 0, 3): (Route.Q124, (2, 1, 3)),
         (1, 2, 3, 4): (Route.Q1234, (1, 2, 3, 4)),
         (0, 2, 0, 0): (Route.ENGINE, (0, 2, 0, 0)),
     }
+    reflected = {(0, 2, 0, 1), (0, 2, 3, 1)}  # 0 < d < b: keyed with b <= d
     for pat, (route, args) in cases.items():
         req = choose_route(pat, 6)
         assert (req.route, req.args) == (route, args), pat
-        assert req.pattern == pat
+        assert req.pattern == (swap_b_d(pat) if pat in reflected else pat)
         assert req.order == 6
         clear_gf_cache()
         dispatch(swap_b_d(pat), 20)  # each cold request builds each series once
@@ -379,6 +380,17 @@ def test_q14_is_served_without_reflected_alias_keys():
                     _assert_one_series_per_canonical_pattern(
                         lambda p: min(p, swap_b_d(p))
                     )
+
+
+def test_a_distribution_and_its_reflection_share_one_series():
+    # with b and d both nonzero the key has b <= d, so a cold (1, 4, 3, 2)
+    # does not build (0, 1, 3, 2) and (0, 2, 3, 1) as two equal series
+    for pat in [(1, 4, 3, 2), (0, 3, 0, 1), (2, 2, 0, 1), (0, 3, 1, 2), (3, 3, 3, 3)]:
+        for order in (12, 20):
+            clear_gf_cache()
+            dispatch(pat, order)
+            _assert_one_series_per_canonical_pattern(lambda p: min(p, swap_b_d(p)))
+    clear_gf_cache()
 
 
 def test_formula_route_needs_no_recursion(monkeypatch):

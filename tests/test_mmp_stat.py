@@ -123,6 +123,19 @@ def test_make_pattern_validation():
 
 
 @pytest.mark.parametrize(
+    "pat", [(0, 0, 0), (0, -1, 0, 0), (0, 0.5, 0, 0), (0, 0, 0, 0, 0)], ids=repr
+)
+def test_mmp_count_and_matches_at_reject_malformed_patterns(pat):
+    # zip once dropped a missing fourth bound: (0, 0, 0) counted 3 on (1, 2, 3)
+    with pytest.raises(ValueError):
+        mmp_count((1, 2, 3), pat)
+    with pytest.raises(ValueError):
+        mmp_count((), pat)
+    with pytest.raises(ValueError):
+        matches_at((1, 2, 3), 1, pat)
+
+
+@pytest.mark.parametrize(
     "pat",
     [[1, 1, 1, 1], (1, True, 0, 0), (1, 0.5, 0, 0), (1, EMPTY, 0, 0), (1, -1, 0, 0), (1, 0, 0)],
     ids=repr,
