@@ -44,6 +44,7 @@ from .perm_core import (
     catalan,
     check_enumeration,
     contains_classical,
+    parse_digits,
     parse_perm,
     reduce_word,
 )
@@ -107,14 +108,11 @@ def _transform_value(q: XPoly, transform: str) -> int:
     if transform == "top":
         return q.leading()
     if transform.startswith("x^"):
-        try:
-            r = int(transform[2:])
-        except ValueError:
-            raise ValueError(f"bad transform {transform!r}") from None
-        if r < 0:
-            raise ValueError(f"bad transform {transform!r}")
+        r = parse_digits(transform[2:])
+        if r is None:
+            raise ValueError(f"bad transform {transform!a}")
         return q.coeff(r)
-    raise ValueError(f"unknown transform {transform!r}; use x0, x^R, or top")
+    raise ValueError(f"unknown transform {transform!a}; use x0, x^R, or top")
 
 
 def export_sequence(

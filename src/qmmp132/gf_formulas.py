@@ -23,9 +23,13 @@ regime forces a block to be unconstrained.  `block_series` evaluates
 the identity for any pattern.  At most one of its sub-patterns is the
 pattern itself, and its coefficient is moved to the left side, so the
 identity solves for the pattern's own series; which sub-pattern that is
-depends only on which bounds are zero.  At a = b = 0 the maximum can
-match, and (0, 0, c, 0) bottoms out at the x-marked Catalan series or,
-for c >= 1, at the quadratic fixed point of `solve_q00k0`.
+depends only on which bounds are zero.  Apart from the one product and
+the one division, the identity is sums of shifted, scaled series and
+Catalan partial sums: each such sum, the numerator above all, is one
+`linear_combination`, packed in one pass at one width.  At a = b = 0
+the maximum can match, and (0, 0, c, 0) bottoms out at the x-marked
+Catalan series or, for c >= 1, at the quadratic fixed point of
+`solve_q00k0`.
 
 The single-quadrant shapes are no exception: (0, b, 0, 0) has its own
 identity, and (0, 0, 0, d) is computed as its reflection, so no series
@@ -61,9 +65,9 @@ from .perm_core import catalan
 from .poly_series import (
     TSeries,
     XPoly,
-    catalan_partial_sum,
     catalan_series,
     catalan_xt_series,
+    linear_combination,
     solve_q00k0,
 )
 
@@ -230,6 +234,17 @@ def block_series(pattern, order: int) -> TSeries:
     with K the other terms, Q - S = (1 - S + t K) / (1 - t lam), which
     costs one series division.
 
+    The numerator 1 + t (H + T + M) - S is built in one packed pass, by
+    `linear_combination`: each head and tail series, the partial sums
+    the tails subtract, the product M and the 1 - S are terms c t^k u.
+    Their norm bounds are summed first, into one pair of bound lists, and
+    fix the width L = max(W_N, width(largest |.|_inf bound), every term's
+    width); each sub-series from `dispatch` is at W_N, so L is W_N unless
+    the bounds or M need more.  Each term is then read once at L and
+    added, scaled and shifted, into one coefficient list.  The left and
+    right factors of M, the denominator 1 - t lam and the final + S are
+    built the same way.
+
     At a = b = 0, (0, 0, c, 0) is the x-marked Catalan series when c = 0,
     else the quadratic fixed point of `solve_q00k0`; (0, 0, c, d) with
     d >= 1 is computed as its reflection (0, d, c, 0).  Bounds are
@@ -247,28 +262,32 @@ def block_series(pattern, order: int) -> TSeries:
             return block_series(swap_b_d(pat), order)
         return solve_q00k0(c, order) if c else catalan_xt_series(order)
     a1 = max(a - 1, 0)
-    s_b = catalan_partial_sum(b - 2, order)
-    lam, terms = None, []
+    s_b = [catalan(m) for m in range(b - 1)]  # S_{b-2}
+    # the numerator 1 + t (H + T + M) as terms (c, k, u), each c t^k u
+    num = [(1, 0, (1,))]
     for k in range(b - 1):
-        head = dispatch((a, b - k - 1, c, d), order)
-        terms.append(head.shift(k).scale(catalan(k)))
+        num.append((catalan(k), k + 1, dispatch((a, b - k - 1, c, d), order)))
+    lam = None
     for r in range(d):
         if a == r == 0:  # Q(a', b, c, d) is the pattern itself
-            lam, j = TSeries.one(order), b - 2
+            lam, s = (1,), s_b
             continue
-        tail = dispatch((a1, b, c, d - r), order) - s_b
-        terms.append(tail.shift(r).scale(catalan(r)))
+        tail = dispatch((a1, b, c, d - r), order)
+        num += [(catalan(r), r + 1, tail), (-catalan(r), r + 1, s_b)]
+    s_d = [catalan(m) for m in range(d)]  # S_{d-1}
     if a == d == 0:  # the left factor is the pattern itself
-        lam, j = dispatch((0, 0, c, 0), order), b - 2
+        lam, s = dispatch((0, 0, c, 0), order), s_b
     elif b == 0:  # the right factor is the pattern itself
-        lam, j = dispatch((a1, 0, c, 0), order), d - 1
+        lam, s = dispatch((a1, 0, c, 0), order), s_d
     else:
-        left = dispatch((a1, b, c, 0), order) - s_b
-        right = dispatch((a, 0, c, d), order) - catalan_partial_sum(d - 1, order)
-        terms.append(left * right)
-    one = TSeries.one(order)
-    out = one + sum(terms[1:], terms[0]).shift(1) if terms else one
+        left = dispatch((a1, b, c, 0), order)
+        left = linear_combination(order, [(1, 0, left), (-1, 0, s_b)])
+        right = dispatch((a, 0, c, d), order)
+        right = linear_combination(order, [(1, 0, right), (-1, 0, s_d)])
+        num.append((1, 1, left * right))
     if lam is None:
-        return out
-    s = catalan_partial_sum(j, order)
-    return (one - lam.shift(1)).reciprocal(out - s) + s
+        return linear_combination(order, num)
+    num.append((-1, 0, s))
+    den = linear_combination(order, [(1, 0, (1,)), (-1, 1, lam)])
+    out = den.reciprocal(linear_combination(order, num))
+    return linear_combination(order, [(1, 0, out), (1, 0, s)])

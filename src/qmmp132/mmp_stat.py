@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .perm_core import Perm, inverse, parse_perm
+from .perm_core import Perm, inverse, parse_digits, parse_perm
 
 
 class _Empty:
@@ -86,15 +86,11 @@ def parse_pattern(text: str) -> MmpPattern:
     """
     tokens = [tok.strip() for tok in text.split(",")]
     if len(tokens) != 4:
-        raise ValueError(f"pattern needs exactly four tokens: {text!r}")
-    bounds = []
-    for tok in tokens:
-        if tok == "e":
-            bounds.append(EMPTY)
-        elif tok.isdigit():
-            bounds.append(int(tok))
-        else:
-            raise ValueError(f"bad pattern token {tok!r} in {text!r}")
+        raise ValueError(f"pattern needs exactly four tokens: {text!a}")
+    bounds = [EMPTY if tok == "e" else parse_digits(tok) for tok in tokens]
+    if None in bounds:
+        bad = tokens[bounds.index(None)]
+        raise ValueError(f"bad pattern token {bad!a} in {text!a}")
     return make_pattern(*bounds)
 
 

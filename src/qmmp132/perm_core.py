@@ -32,15 +32,28 @@ class ResourceLimitError(Exception):
     """Requested computation exceeds a fixed size limit."""
 
 
+# C_0, C_1, ...: grown on demand by C_m = C_{m-1} (4m - 2) / (m + 1); the
+# table holds about n^2 bits, so lengths past _CATALAN_TABLE_MAX are
+# computed, not stored
+_catalans = [1]
+_CATALAN_TABLE_MAX = 1024
+
+
 def catalan(n: int) -> int:
     """Exact n-th Catalan number binom(2n,n)/(n+1).
 
     >>> [catalan(n) for n in range(7)]
     [1, 1, 2, 5, 14, 42, 132]
     """
+    if 0 <= n < len(_catalans):
+        return _catalans[n]
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return comb(2 * n, n) // (n + 1)
+    if n > _CATALAN_TABLE_MAX:
+        return comb(2 * n, n) // (n + 1)
+    for m in range(len(_catalans), n + 1):
+        _catalans.append(_catalans[-1] * (4 * m - 2) // (m + 1))
+    return _catalans[n]
 
 
 def is_permutation(values: Sequence[int]) -> bool:
@@ -167,19 +180,29 @@ def inverse(p: Sequence[int]) -> Perm:
     return tuple(out)
 
 
+def parse_digits(text: str) -> int | None:
+    """The int written by ``text`` if it is ASCII digits [0-9]+, else None.
+
+    Signs, spaces, underscores and non-ASCII digits, all of which int()
+    accepts, are refused.
+
+    >>> parse_digits("042"), parse_digits("+1"), parse_digits("1_0")
+    (42, None, None)
+    """
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def parse_perm(text: str) -> Perm:
     """Parse "471569283" or "10,3,1,2,..." into a permutation tuple."""
     text = text.strip()
     if not text:
         return ()
-    if "," in text:
-        values = tuple(int(tok) for tok in text.split(","))
-    else:
-        if not text.isdigit():
-            raise ValueError(f"not a permutation string: {text!r}")
-        values = tuple(int(ch) for ch in text)
+    tokens = [tok.strip() for tok in text.split(",")] if "," in text else text
+    values = tuple(map(parse_digits, tokens))
+    if None in values:
+        raise ValueError(f"not a permutation string: {text!a}")
     if not is_permutation(values):
-        raise ValueError(f"not a rearrangement of 1..{len(values)}: {text!r}")
+        raise ValueError(f"not a rearrangement of 1..{len(values)}: {text!a}")
     return values
 
 

@@ -17,8 +17,13 @@ upper bounds on |p|_1 and |p|_inf, the sum and the largest of the
 absolute values of its coefficients.  Every operation carries the bounds
 forward, and a width of bit_length(bound) + 2 holds a coefficient:
 
-* sum, difference, negation, shift, scale by an int: int operations on
-  the packed list, bounds by the triangle inequality;
+* `linear_combination`, sum c t^k u over any number of terms (c an int,
+  u a series or an x-free int sequence), and with it sum, difference,
+  negation, shift and scale by an int: the bounds of all terms are
+  summed first, by the triangle inequality, which fixes one width,
+  L = max(W_N, width(largest |.|_inf bound), every term's width); then
+  each term is read once at L and added into one packed list, with no
+  intermediate series;
 * product u*v: one big-integer dot product per output coefficient, with
   |(uv)_n|_inf <= sum_i |u_i|_1 |v_{n-i}|_inf and the same for |.|_1;
 * division v/u (`reciprocal`; 1/u without v), u_0 = +-1, by forward
@@ -56,7 +61,7 @@ XPoly((0, 0, 0, 5))
 
 from __future__ import annotations
 
-from operator import add, mul, neg, sub
+from operator import add, mul, neg
 from typing import Iterable, Sequence
 
 from .perm_core import catalan
@@ -257,8 +262,13 @@ def _floor(N: int) -> int:
 def _series(order: int, L: int, z, n1, ninf) -> "TSeries":
     """A TSeries from its packed form; the caller proves the bounds."""
     s = object.__new__(TSeries)
-    for name, v in zip(TSeries.__slots__, (order, L, tuple(z), n1, ninf, None)):
-        object.__setattr__(s, name, v)
+    _set = object.__setattr__
+    _set(s, "order", order)
+    _set(s, "L", L)
+    _set(s, "z", tuple(z))
+    _set(s, "n1", n1)
+    _set(s, "ninf", ninf)
+    _set(s, "_xp", None)
     return s
 
 
@@ -345,21 +355,14 @@ class TSeries:
             z if -h <= z < h else _pack(_unpack(z, self.L).coeffs, L) for z in self.z
         )
 
-    def _sum(self, other: "TSeries", op) -> "TSeries":
-        self._check(other)
-        ninf = tuple(map(add, self.ninf, other.ninf))
-        L = max(self.L, other.L, _width(max(ninf)))
-        z = map(op, self._at(L), other._at(L))
-        return _series(self.order, L, z, tuple(map(add, self.n1, other.n1)), ninf)
-
     def __add__(self, other: "TSeries") -> "TSeries":
-        return self._sum(other, add)
+        return linear_combination(self.order, ((1, 0, self), (1, 0, other)))
 
     def __neg__(self) -> "TSeries":
-        return _series(self.order, self.L, map(neg, self.z), self.n1, self.ninf)
+        return linear_combination(self.order, ((-1, 0, self),))
 
     def __sub__(self, other: "TSeries") -> "TSeries":
-        return self._sum(other, sub)
+        return linear_combination(self.order, ((1, 0, self), (-1, 0, other)))
 
     def __mul__(self, other: "TSeries") -> "TSeries":
         """Product through the packed kernel: one big-integer dot product
@@ -371,6 +374,8 @@ class TSeries:
         L = max(self.L, other.L, _width(max(ninf)))
         A, B = self._at(L), other._at(L)[::-1]
         z = [sum(map(mul, A, B[N - n :])) for n in range(N + 1)]
+        if other.n1 == other.ninf:  # then the two convolutions are one
+            return _series(N, L, z, ninf, ninf)
         n1 = tuple(sum(map(mul, u1, v1[N - n :])) for n in range(N + 1))
         return _series(N, L, z, n1, ninf)
 
@@ -378,18 +383,11 @@ class TSeries:
         """Multiply every coefficient by an int or XPoly."""
         if not isinstance(c, int):
             return self * TSeries(self.order, (c,))
-        n1, ninf = (tuple(map(abs(c).__mul__, v)) for v in (self.n1, self.ninf))
-        L = max(self.L, _width(max(ninf)))
-        return _series(self.order, L, map(c.__mul__, self._at(L)), n1, ninf)
+        return linear_combination(self.order, ((c, 0, self),))
 
     def shift(self, k: int = 1) -> "TSeries":
         """Multiply by t^k at fixed order (top k coefficients fall off)."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        k = min(k, self.order + 1)
-        pad, keep = (0,) * k, self.order + 1 - k
-        z, n1, ninf = (pad + v[:keep] for v in (self.z, self.n1, self.ninf))
-        return _series(self.order, self.L, z, n1, ninf)
+        return linear_combination(self.order, ((1, k, self),))
 
     def reciprocal(self, num: "TSeries | None" = None) -> "TSeries":
         """num / self by forward substitution, 1 / self without num; the
@@ -438,14 +436,60 @@ class TSeries:
         return "\n".join(f"t^{n}: {c}" for n, c in enumerate(self.coeffs))
 
 
+def linear_combination(order: int, terms: Iterable[tuple]) -> TSeries:
+    """sum c t^k u over the terms (c, k, u), packed in one pass at one width.
+
+    c is an int, k >= 0, and u a series of this order or a sequence of ints
+    (an x-free series: an int packs to itself at any width).  The bounds
+    come first, by the triangle inequality: the t^n coefficient of the sum
+    has |.|_1 at most sum |c| |u_{n-k}|_1, and |.|_inf at most the same sum
+    of |c| |u_{n-k}|_inf (|v| for an int v).  The width is then
+    L = max(W_N, width(max |.|_inf), every u's width), and each u is read
+    once at L, scaled by c and shifted by k into one coefficient list.
+    """
+    N = order
+    n1, z = [0] * (N + 1), [0] * (N + 1)
+    ninf = n1  # one list for both bounds while every term's two are one
+    L, reads = _floor(N), []
+    for c, k, u in terms:
+        if k < 0:
+            raise ValueError("shift must be nonnegative")
+        keep = N + 1 - k  # the rest falls off
+        if keep <= 0:
+            continue
+        if isinstance(u, TSeries):
+            if u.order != N:
+                raise OrderMismatchError(f"orders differ: {N} vs {u.order}")
+            L = max(L, u.L)
+            u1 = u.n1[:keep]
+            uinf = u1 if u.ninf == u.n1 else u.ninf[:keep]
+        else:
+            u1 = uinf = tuple(map(abs, u[:keep]))
+        m, e = abs(c), k + len(u1)
+        if uinf is not u1 and ninf is n1:
+            ninf = n1.copy()
+        n1[k:e] = map(add, n1[k:e], u1 if m == 1 else map(m.__mul__, u1))
+        if ninf is not n1:
+            ninf[k:e] = map(add, ninf[k:e], uinf if m == 1 else map(m.__mul__, uinf))
+        reads.append((c, k, e, u))
+    L = max(L, _width(max(ninf)))
+    for c, k, e, u in reads:
+        v = (u._at(L) if isinstance(u, TSeries) else u)[: e - k]
+        z[k:e] = map(add, z[k:e], v if c == 1 else map(c.__mul__, v))
+    b1 = tuple(n1)
+    return _series(N, L, z, b1, b1 if ninf is n1 else tuple(ninf))
+
+
 def catalan_series(N: int) -> TSeries:
     """C(t) = sum C_n t^n truncated at t^N."""
     return _int_series(N, [catalan(n) for n in range(N + 1)])
 
 
 def catalan_xt_series(N: int) -> TSeries:
-    """C(xt): coefficient of t^n is C_n x^n."""
-    return TSeries(N, [XPoly.x_power(n, catalan(n)) for n in range(N + 1)])
+    """C(xt): coefficient of t^n is C_n x^n, packed as C_n 2^(nL)."""
+    cats = tuple(map(catalan, range(N + 1)))
+    L = max(_floor(N), _width(cats[-1]))
+    return _series(N, L, (c << n * L for n, c in enumerate(cats)), cats, cats)
 
 
 def catalan_partial_sum(j_max: int, N: int) -> TSeries:

@@ -144,6 +144,22 @@ def test_stat_rejects_bad_permutation(capsys):
     assert "error:" in err
 
 
+def test_stat_rejects_non_ascii_permutation_digits(capsys):
+    # str.isdigit accepts ARABIC-INDIC DIGITS ONE and TWO, and int() reads
+    # them as 1 and 2
+    code, out, err = run(capsys, "stat", "--perm", "\u0661\u0662", "--pattern", "0,0,0,0")
+    assert (code, out) == (2, "")
+    assert err == "error: not a permutation string: '\\u0661\\u0662'\n"
+
+
+def test_stat_rejects_a_superscript_digit_with_its_own_message(capsys):
+    # str.isdigit accepts SUPERSCRIPT TWO, which int() refuses with its own
+    # "invalid literal" message
+    code, out, err = run(capsys, "stat", "--perm", "\u00b21", "--pattern", "0,0,0,0")
+    assert (code, out) == (2, "")
+    assert err == "error: not a permutation string: '\\xb21'\n"
+
+
 # ---------------------------------------------------------------------------
 # seq
 
@@ -197,6 +213,16 @@ def test_seq_bad_transform(capsys):
     )
     assert code == 2
     assert "unknown transform" in err
+
+
+def test_seq_rejects_exponents_int_would_read(capsys):
+    # int() reads "+1" and "1_0"; an exponent is ASCII digits only
+    for transform in ("x^+1", "x^1_0", "x^ 1"):
+        code, out, err = run(
+            capsys, "seq", "--pattern", "1,1,1,0", "--transform", transform
+        )
+        assert (code, out) == (2, ""), transform
+        assert err == f"error: bad transform {transform!r}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -305,3 +331,10 @@ def test_malformed_pattern(capsys):
     code, _, err = run(capsys, "poly", "--pattern", "1,1,1", "--n", "4")
     assert code == 2
     assert "four tokens" in err
+
+
+def test_pattern_bounds_are_ascii_digits(capsys):
+    # str.isdigit accepts ARABIC-INDIC DIGIT ONE, which int() reads as 1
+    code, out, err = run(capsys, "poly", "--pattern", "\u0661,1,1,1", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: bad pattern token '\\u0661' in '\\u0661,1,1,1'\n"

@@ -146,6 +146,24 @@ def test_block_series_matches_recursion(pat, order):
     assert block_series(pat, order) == q_series_recursive(pat, order)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(0, 4)] * 4), st.integers(0, 30))
+@example((4, 4, 4, 4), 30)
+@example((0, 4, 4, 4), 30)  # a = 0: the tail at r = 0 is the pattern itself
+@example((2, 0, 3, 4), 30)  # b = 0: the right factor is the pattern itself
+def test_block_series_carries_sound_bounds(pat, order):
+    """The norms a series carries decide its packing width: they must bound
+    its coefficients, and the width must hold them.  Read at that width,
+    every t^n coefficient is counts summing to C_n."""
+    s = block_series(pat, order)
+    for n, (p, n1, ninf) in enumerate(zip(s.coeffs, s.n1, s.ninf)):
+        cs = p.coeffs
+        assert max(map(abs, cs), default=0) <= ninf, n
+        assert sum(map(abs, cs)) <= n1, n
+        assert poly_series._width(ninf) <= s.L, n
+        assert min(cs) >= 0 and sum(cs) == catalan(n), n
+
+
 def test_high_order_formulas_match_recursion():
     for k in (1, 2, 3, 4):
         assert solve_q00k0(k, 60) == q_series_recursive((0, 0, k, 0), 60), k

@@ -27,6 +27,7 @@ from qmmp132.perm_core import (
     avoiders_after_also_avoiding,
     count_avoiders,
     is_permutation,
+    parse_digits,
 )
 
 CATALAN_FROZEN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -185,6 +186,14 @@ def test_parse_perm_rejects_bad_input():
         parse_perm("13")  # not a rearrangement of 1..2
     with pytest.raises(ValueError):
         parse_perm("a1")
+
+
+def test_parse_digits_reads_ascii_digits_only():
+    assert parse_digits("0") == 0
+    assert parse_digits("0042") == 42
+    # int() reads every one of these
+    for text in ("", "+1", "-1", " 1", "1_0", "\u0661", "\u00b2", "1\n"):
+        assert parse_digits(text) is None, ascii(text)
 
 
 def test_format_perm_roundtrip():

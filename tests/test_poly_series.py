@@ -16,6 +16,7 @@ from qmmp132.poly_series import (
     _unpack,
     _width,
     catalan_partial_sum,
+    linear_combination,
     rational_series,
     solve_q00k0,
 )
@@ -345,6 +346,13 @@ def _apply(op, u, v, c, k):
         return s.scale(c), [p.scale(c) for p in a]
     if op == "mul":
         return s * t, list(schoolbook_mul(TSeries(N, a), TSeries(N, b)).coeffs)
+    if op == "comb":
+        # c t^k u + v - t (1, 2, ..., N + 1): a series, shifted and scaled,
+        # plus one unshifted and an x-free int sequence
+        ints = list(range(1, N + 2))
+        ref = [ZERO] * k + [p.scale(c) for p in a]
+        ref = [p + q - XPoly((m,)) for p, q, m in zip(ref, b, [0] + ints)]
+        return linear_combination(N, [(c, k, s), (1, 0, t), (-1, 1, ints)]), ref
     w = [XPoly((1,))] + a[:N]  # 1 + t*u: an invertible constant term
     inv = schoolbook_reciprocal(TSeries(N, w)).coeffs
     return (TSeries.one(N) + s.shift(1)).reciprocal(), list(inv)
@@ -362,7 +370,9 @@ def test_packed_ring_matches_xpoly_reference_on_random_chains(data):
     for _ in range(3):
         s = data.draw(series_strategy(N, big_xpolys))
         pool.append((s, list(s.coeffs)))
-    ops = st.sampled_from(("add", "sub", "neg", "shift", "scale", "mul", "recip"))
+    ops = st.sampled_from(
+        ("add", "sub", "neg", "shift", "scale", "mul", "recip", "comb")
+    )
     factors = st.one_of(st.integers(-3, 3), st.sampled_from((2**90, -(2**150))))
     for _ in range(data.draw(st.integers(1, 6))):
         op = data.draw(ops)
@@ -377,6 +387,20 @@ def test_packed_ring_matches_xpoly_reference_on_random_chains(data):
         fresh = TSeries(N, ref)
         assert s == fresh and hash(s) == hash(fresh)
         pool.append((s, ref))
+
+
+def test_linear_combination_packs_its_terms_at_one_width():
+    N = 4
+    u = TSeries(N, [XPoly((1, 2)), XPoly((0, 0, 3))])
+    out = linear_combination(N, [(2, 1, u), (-1, 0, (5, 6)), (7, 9, u)])
+    assert out == TSeries(N, [-5, XPoly((-4, 4)), XPoly((0, 0, 6))])
+    assert out.n1 == (5, 12, 6, 0, 0) and out.ninf == (5, 10, 6, 0, 0)
+    assert out.L == u.L  # W_N holds every bound here
+    assert linear_combination(N, []) == TSeries.zero(N)
+    with pytest.raises(OrderMismatchError):
+        linear_combination(N + 1, [(1, 0, u)])
+    with pytest.raises(ValueError):
+        linear_combination(N, [(1, -1, u)])
 
 
 # ---------------------------------------------------------------------------
