@@ -258,20 +258,8 @@ def default_registry() -> tuple[ClosedFormCheck, ...]:
     C = catalan
     reg: list[ClosedFormCheck] = []
 
-    def top(name, pattern, shift, const_fn, validity, note=""):
-        reg.append(
-            ClosedFormCheck(
-                name,
-                pattern,
-                selector=lambda n, s=shift: n - s,
-                formula=const_fn,
-                validity=validity,
-                is_top=True,
-                note=note,
-            )
-        )
-
-    def second(name, pattern, shift, fn, validity, note=""):
+    def add(name, pattern, shift, fn, validity, note=""):
+        """The coefficient of x^(n - shift); a "-top" check claims the top one."""
         reg.append(
             ClosedFormCheck(
                 name,
@@ -279,16 +267,17 @@ def default_registry() -> tuple[ClosedFormCheck, ...]:
                 selector=lambda n, s=shift: n - s,
                 formula=fn,
                 validity=validity,
+                is_top=name.endswith("-top"),
                 note=note,
             )
         )
 
     # --- patterns bounding quadrants I, II, III -------------------------
     for m in (1, 2, 3):
-        top(f"11{m}0-top", (1, 1, m, 0), 2 + m, lambda n, m=m: 2 * C(m), 3 + m)
-    second("1110-second", (1, 1, 1, 0), 4, lambda n: 6 + 2 * comb(n - 2, 2), 5)
+        add(f"11{m}0-top", (1, 1, m, 0), 2 + m, lambda n, m=m: 2 * C(m), 3 + m)
+    add("1110-second", (1, 1, 1, 0), 4, lambda n: 6 + 2 * comb(n - 2, 2), 5)
     for m in (2, 3):
-        second(
+        add(
             f"11{m}0-second",
             (1, 1, m, 0),
             3 + m,
@@ -296,18 +285,18 @@ def default_registry() -> tuple[ClosedFormCheck, ...]:
             4 + m,
         )
     for m in (1, 2):
-        top(f"21{m}0-top", (2, 1, m, 0), 3 + m, lambda n, m=m: 3 * C(m), 4 + m)
+        add(f"21{m}0-top", (2, 1, m, 0), 3 + m, lambda n, m=m: 3 * C(m), 4 + m)
     for m in (1, 2, 3):
-        top(f"12{m}0-top", (1, 2, m, 0), 3 + m, lambda n, m=m: 5 * C(m), 4 + m)
+        add(f"12{m}0-top", (1, 2, m, 0), 3 + m, lambda n, m=m: 5 * C(m), 4 + m)
     for m in (1, 2):
-        top(f"22{m}0-top", (2, 2, m, 0), 4 + m, lambda n, m=m: 9 * C(m), 5 + m)
+        add(f"22{m}0-top", (2, 2, m, 0), 4 + m, lambda n, m=m: 9 * C(m), 5 + m)
 
     # --- patterns bounding quadrants II, III, IV ------------------------
     for el in (1, 2, 3):
-        top(f"01{el}1-top", (0, 1, el, 1), 2 + el, lambda n, el=el: C(el), 3 + el)
-    second("0111-second", (0, 1, 1, 1), 4, lambda n: 5 + comb(n - 2, 2), 5)
+        add(f"01{el}1-top", (0, 1, el, 1), 2 + el, lambda n, el=el: C(el), 3 + el)
+    add("0111-second", (0, 1, 1, 1), 4, lambda n: 5 + comb(n - 2, 2), 5)
     for el in (2, 3):
-        second(
+        add(
             f"01{el}1-second",
             (0, 1, el, 1),
             3 + el,
@@ -315,8 +304,8 @@ def default_registry() -> tuple[ClosedFormCheck, ...]:
             4 + el,
         )
     for el in (1, 2, 3):
-        top(f"01{el}2-top", (0, 1, el, 2), 3 + el, lambda n, el=el: 2 * C(el), 4 + el)
-    second(
+        add(f"01{el}2-top", (0, 1, el, 2), 3 + el, lambda n, el=el: 2 * C(el), 4 + el)
+    add(
         "0112-second",
         (0, 1, 1, 2),
         5,
@@ -327,7 +316,7 @@ def default_registry() -> tuple[ClosedFormCheck, ...]:
         "expansions force 13+2*binom(n-3,2)",
     )
     for el in (2, 3):
-        second(
+        add(
             f"01{el}2-second",
             (0, 1, el, 2),
             4 + el,
@@ -335,7 +324,7 @@ def default_registry() -> tuple[ClosedFormCheck, ...]:
             5 + el,
         )
     for el in (1, 2, 3):
-        top(
+        add(
             f"02{el}2-top",
             (0, 2, el, 2),
             4 + el,
@@ -346,7 +335,7 @@ def default_registry() -> tuple[ClosedFormCheck, ...]:
 
     # --- patterns bounding quadrants I, II, IV --------------------------
     for el in (1, 2, 3):
-        top(
+        add(
             f"1{el}01-top",
             (1, el, 0, 1),
             2 + el,
@@ -355,11 +344,9 @@ def default_registry() -> tuple[ClosedFormCheck, ...]:
             note="series-validated correction: the stated constant 4*C(el) "
             "equals the true constant 2*C(el+1) only at el=1",
         )
-    second(
-        "1101-second", (1, 1, 0, 1), 4, lambda n: 8 * C(n - 3) + C(n - 4), 5
-    )
+    add("1101-second", (1, 1, 0, 1), 4, lambda n: 8 * C(n - 3) + C(n - 4), 5)
     for k in (2, 3):
-        top(
+        add(
             f"{k}101-top",
             (k, 1, 0, 1),
             2 + k,
@@ -369,8 +356,8 @@ def default_registry() -> tuple[ClosedFormCheck, ...]:
 
     # --- patterns bounding all four quadrants ---------------------------
     for k in (1, 2, 3):
-        top(f"{k}111-top", (k, 1, 1, 1), 3 + k, lambda n, k=k: (k + 1) ** 2, 4 + k)
-    second(
+        add(f"{k}111-top", (k, 1, 1, 1), 3 + k, lambda n, k=k: (k + 1) ** 2, 4 + k)
+    add(
         "1111-second",
         (1, 1, 1, 1),
         5,

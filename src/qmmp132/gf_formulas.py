@@ -237,13 +237,13 @@ def block_series(pattern, order: int) -> TSeries:
     The numerator 1 + t (H + T + M) - S is built in one packed pass, by
     `linear_combination`: each head and tail series, the partial sums
     the tails subtract, the product M and the 1 - S are terms c t^k u.
-    Their norm bounds are summed first, into one pair of bound lists, and
-    fix the width L = max(W_N, width(largest |.|_inf bound), every term's
-    width); each sub-series from `dispatch` is at W_N, so L is W_N unless
-    the bounds or M need more.  Each term is then read once at L and
-    added, scaled and shifted, into one coefficient list.  The left and
-    right factors of M, the denominator 1 - t lam and the final + S are
-    built the same way.
+    Their norm bounds are summed first, into one bound list, and fix the
+    width L = max(W_N, width(largest bound), every term's width); each
+    sub-series from `dispatch` is at W_N, so L is W_N unless the bounds
+    or M need more.  Each term is then read once at L and added, scaled
+    and shifted, into one coefficient list.  The left and right factors
+    of M, the denominator 1 - t lam and the final + S are built the same
+    way.
 
     At a = b = 0, (0, 0, c, 0) is the x-marked Catalan series when c = 0,
     else the quadratic fixed point of `solve_q00k0`; (0, 0, c, d) with

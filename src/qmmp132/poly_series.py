@@ -13,19 +13,18 @@ Kronecker substitution, x = 2^L: the coefficient of x^r sits in limb r,
 L bits wide.  Limbs are balanced (signed): a limb holds any value in
 [-2^(L-1), 2^(L-1)), so differences pack exactly.  A TSeries holds one
 width L, its t-coefficients packed at L, and for each t-coefficient p
-upper bounds on |p|_1 and |p|_inf, the sum and the largest of the
-absolute values of its coefficients.  Every operation carries the bounds
-forward, and a width of bit_length(bound) + 2 holds a coefficient:
+an upper bound n1 on |p|_1, the sum of the absolute values of its
+coefficients, and so on each coefficient.  Every operation carries the
+bound forward, and a width of bit_length(bound) + 2 holds a coefficient:
 
 * `linear_combination`, sum c t^k u over any number of terms (c an int,
-  u a series or an x-free int sequence), and with it sum, difference,
-  negation, shift and scale by an int: the bounds of all terms are
-  summed first, by the triangle inequality, which fixes one width,
-  L = max(W_N, width(largest |.|_inf bound), every term's width); then
-  each term is read once at L and added into one packed list, with no
-  intermediate series;
+  u a series or an x-free int sequence), and with it sum and difference:
+  the bounds of all terms are summed first, by the triangle inequality,
+  which fixes one width, L = max(W_N, width(largest bound), every term's
+  width); then each term is read once at L and added into one packed
+  list, with no intermediate series;
 * product u*v: one big-integer dot product per output coefficient, with
-  |(uv)_n|_inf <= sum_i |u_i|_1 |v_{n-i}|_inf and the same for |.|_1;
+  |(uv)_n|_1 <= sum_i |u_i|_1 |v_{n-i}|_1;
 * division v/u (`reciprocal`; 1/u without v), u_0 = +-1, by forward
   substitution w_n = u_0 (v_n - sum_{k>=1} u_k w_{n-k}), with
   |w_n|_1 <= r_n = |v_n|_1 + sum_{k>=1} |u_k|_1 r_{n-k};
@@ -34,15 +33,16 @@ forward, and a width of bit_length(bound) + 2 holds a coefficient:
 A series is repacked only when a bound no longer fits its width.  Every
 series of order N starts at no less than W_N = width(C_{N+2}): over
 {0..8}^4 at order 20, {0..4}^4 at order 40 and {0..3}^4 at order 60 no
-product, sum or division in `block_series` needed more, so the formula
-route runs at one width (`solve_q00k0` works at its own, and `dispatch`
-narrows its result).  W_N only decides where packing starts; correctness
-rests on the bounds.  `TSeries.distribution`, which `dispatch` applies to each
-result, checks z mod (2^L - 1) = p(1) mod (2^L - 1) against C_n, resets
-both bounds of t^n to C_n (the coefficients are counts) and moves the
-series to W_N.  Unpacking happens only on read: `coeffs` (once),
-`coeff(n)`, printing, hashing, and equality across widths.  t and x are
-never packed together: one integer for both measured about 30x slower.
+product, sum or division in `block_series` needed more (a test checks
+this), so the formula route runs at one width (`solve_q00k0` works at its
+own, and `dispatch` narrows its result).  W_N only decides where packing
+starts; correctness rests on the bounds.  `TSeries.distribution`, which
+`dispatch` applies to each result, checks z mod (2^L - 1) = p(1) mod
+(2^L - 1) against C_n, resets the bound of t^n to C_n (the coefficients
+are counts) and moves the series to W_N.  Unpacking happens only on
+read: `coeffs` (once), `coeff(n)`, printing, hashing, and equality across
+widths.  t and x are never packed together: one integer for both
+measured about 30x slower.
 
 Textual forms follow the house style of the series being modeled:
 polynomials print ascending, "38+4x", "99+29x+4x^2"; a series prints one
@@ -134,7 +134,7 @@ class XPoly:
 
     def __mul__(self, other: "XPoly") -> "XPoly":
         """One big-integer product; every output coefficient is at most
-        |self|_1 * |other|_inf, the bound TSeries.__mul__ uses."""
+        |self|_1 * |other|_inf."""
         L = _width(sum(map(abs, self.coeffs)) * max(map(abs, other.coeffs), default=0))
         return _unpack(_pack(self.coeffs, L) * _pack(other.coeffs, L), L)
 
@@ -259,7 +259,7 @@ def _floor(N: int) -> int:
     return _width(catalan(N + 2))
 
 
-def _series(order: int, L: int, z, n1, ninf) -> "TSeries":
+def _series(order: int, L: int, z, n1) -> "TSeries":
     """A TSeries from its packed form; the caller proves the bounds."""
     s = object.__new__(TSeries)
     _set = object.__setattr__
@@ -267,7 +267,6 @@ def _series(order: int, L: int, z, n1, ninf) -> "TSeries":
     _set(s, "L", L)
     _set(s, "z", tuple(z))
     _set(s, "n1", n1)
-    _set(s, "ninf", ninf)
     _set(s, "_xp", None)
     return s
 
@@ -276,17 +275,17 @@ def _int_series(order: int, cs: Sequence[int]) -> "TSeries":
     """Series with x-free coefficients cs (an int packs to itself)."""
     cs = (tuple(cs) + (0,) * (order + 1))[: order + 1]
     bound = tuple(map(abs, cs))
-    return _series(order, max(_floor(order), _width(max(bound))), cs, bound, bound)
+    return _series(order, max(_floor(order), _width(max(bound))), cs, bound)
 
 
 class TSeries:
     """Power series in t, truncated at a fixed order, XPoly coefficients.
 
     Stored packed: ``z[n]`` is the t^n coefficient at x = 2^L, and
-    ``n1[n]``, ``ninf[n]`` bound its 1-norm and its largest coefficient.
+    ``n1[n]`` bounds its 1-norm.
     """
 
-    __slots__ = ("order", "L", "z", "n1", "ninf", "_xp")
+    __slots__ = ("order", "L", "z", "n1", "_xp")
 
     def __init__(self, order: int, coeffs: Sequence = ()):
         if order < 0:
@@ -295,19 +294,14 @@ class TSeries:
         if len(cs) > order + 1:
             raise ValueError("more coefficients than order allows")
         cs.extend([()] * (order + 1 - len(cs)))
-        ninf = tuple(max(map(abs, c), default=0) for c in cs)
-        L = max(_floor(order), _width(max(ninf)))
         n1 = tuple(sum(map(abs, c)) for c in cs)
+        L = max(_floor(order), _width(max(n1)))
         z = tuple(_pack(c, L) for c in cs)
-        for name, v in zip(self.__slots__, (order, L, z, n1, ninf, None)):
+        for name, v in zip(self.__slots__, (order, L, z, n1, None)):
             object.__setattr__(self, name, v)
 
     def __setattr__(self, name, value):
         raise AttributeError("TSeries is immutable")
-
-    @classmethod
-    def zero(cls, order: int) -> "TSeries":
-        return _int_series(order, ())
 
     @classmethod
     def one(cls, order: int) -> "TSeries":
@@ -316,17 +310,17 @@ class TSeries:
     @classmethod
     def t_power(cls, r: int, order: int, c=1) -> "TSeries":
         """c * t^r (c an int or XPoly); zero if r exceeds the order."""
-        return cls(order, (ZERO,) * r + (c,)) if r <= order else cls.zero(order)
+        return cls(order, (ZERO,) * r + (c,)) if r <= order else cls(order)
 
     def distribution(self) -> "TSeries":
         """This series at width W_N, each t^n coefficient known to be counts
-        summing to C_n, so that both its bounds are C_n.  The sums are
+        summing to C_n, so that its bound is C_n.  The sums are
         checked, z mod (2^L - 1) = p(1) mod (2^L - 1) = C_n, else ArithmeticError."""
         cats = tuple(map(catalan, range(self.order + 1)))
         if tuple(map(((1 << self.L) - 1).__rmod__, self.z)) != cats:
             raise ArithmeticError("a t-coefficient does not sum to its Catalan number")
         W = _floor(self.order)
-        return _series(self.order, W, self._at(W), cats, cats)
+        return _series(self.order, W, self._at(W), cats)
 
     @property
     def coeffs(self) -> tuple[XPoly, ...]:
@@ -358,9 +352,6 @@ class TSeries:
     def __add__(self, other: "TSeries") -> "TSeries":
         return linear_combination(self.order, ((1, 0, self), (1, 0, other)))
 
-    def __neg__(self) -> "TSeries":
-        return linear_combination(self.order, ((-1, 0, self),))
-
     def __sub__(self, other: "TSeries") -> "TSeries":
         return linear_combination(self.order, ((1, 0, self), (-1, 0, other)))
 
@@ -368,26 +359,12 @@ class TSeries:
         """Product through the packed kernel: one big-integer dot product
         per output coefficient, at a width from the convolved bounds."""
         self._check(other)
-        N, u1 = self.order, self.n1
-        v1, vinf = other.n1[::-1], other.ninf[::-1]
-        ninf = tuple(sum(map(mul, u1, vinf[N - n :])) for n in range(N + 1))
-        L = max(self.L, other.L, _width(max(ninf)))
+        N, u1, v1 = self.order, self.n1, other.n1[::-1]
+        n1 = tuple(sum(map(mul, u1, v1[N - n :])) for n in range(N + 1))
+        L = max(self.L, other.L, _width(max(n1)))
         A, B = self._at(L), other._at(L)[::-1]
         z = [sum(map(mul, A, B[N - n :])) for n in range(N + 1)]
-        if other.n1 == other.ninf:  # then the two convolutions are one
-            return _series(N, L, z, ninf, ninf)
-        n1 = tuple(sum(map(mul, u1, v1[N - n :])) for n in range(N + 1))
-        return _series(N, L, z, n1, ninf)
-
-    def scale(self, c) -> "TSeries":
-        """Multiply every coefficient by an int or XPoly."""
-        if not isinstance(c, int):
-            return self * TSeries(self.order, (c,))
-        return linear_combination(self.order, ((c, 0, self),))
-
-    def shift(self, k: int = 1) -> "TSeries":
-        """Multiply by t^k at fixed order (top k coefficients fall off)."""
-        return linear_combination(self.order, ((1, k, self),))
+        return _series(N, L, z, n1)
 
     def reciprocal(self, num: "TSeries | None" = None) -> "TSeries":
         """num / self by forward substitution, 1 / self without num; the
@@ -401,7 +378,7 @@ class TSeries:
         r = tuple(_inverse_terms(self.n1, num.n1, 1))
         L = max(self.L, num.L, _width(max(r)))
         v = num._at(L) if u0 == 1 else map(neg, num._at(L))
-        return _series(self.order, L, _inverse_terms(self._at(L), v, -u0), r, r)
+        return _series(self.order, L, _inverse_terms(self._at(L), v, -u0), r)
 
     def subs_x(self, x: int) -> "TSeries":
         """Evaluate every coefficient at an integer x."""
@@ -413,13 +390,6 @@ class TSeries:
             if a.degree > 0:
                 raise ValueError(f"t^{n} coefficient is not constant in x")
         return [a.coeff(0) for a in self.coeffs]
-
-    def truncate(self, order: int) -> "TSeries":
-        """Copy at a lower (or equal) truncation order."""
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        z, n1, ninf = (v[: order + 1] for v in (self.z, self.n1, self.ninf))
-        return _series(order, self.L, z, n1, ninf)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TSeries) or self.order != other.order:
@@ -442,14 +412,12 @@ def linear_combination(order: int, terms: Iterable[tuple]) -> TSeries:
     c is an int, k >= 0, and u a series of this order or a sequence of ints
     (an x-free series: an int packs to itself at any width).  The bounds
     come first, by the triangle inequality: the t^n coefficient of the sum
-    has |.|_1 at most sum |c| |u_{n-k}|_1, and |.|_inf at most the same sum
-    of |c| |u_{n-k}|_inf (|v| for an int v).  The width is then
-    L = max(W_N, width(max |.|_inf), every u's width), and each u is read
-    once at L, scaled by c and shifted by k into one coefficient list.
+    has |.|_1 at most sum |c| |u_{n-k}|_1 (|v| for an int v).  The width is
+    then L = max(W_N, width(largest bound), every u's width), and each u is
+    read once at L, scaled by c and shifted by k into one coefficient list.
     """
     N = order
     n1, z = [0] * (N + 1), [0] * (N + 1)
-    ninf = n1  # one list for both bounds while every term's two are one
     L, reads = _floor(N), []
     for c, k, u in terms:
         if k < 0:
@@ -462,22 +430,16 @@ def linear_combination(order: int, terms: Iterable[tuple]) -> TSeries:
                 raise OrderMismatchError(f"orders differ: {N} vs {u.order}")
             L = max(L, u.L)
             u1 = u.n1[:keep]
-            uinf = u1 if u.ninf == u.n1 else u.ninf[:keep]
         else:
-            u1 = uinf = tuple(map(abs, u[:keep]))
+            u1 = tuple(map(abs, u[:keep]))
         m, e = abs(c), k + len(u1)
-        if uinf is not u1 and ninf is n1:
-            ninf = n1.copy()
         n1[k:e] = map(add, n1[k:e], u1 if m == 1 else map(m.__mul__, u1))
-        if ninf is not n1:
-            ninf[k:e] = map(add, ninf[k:e], uinf if m == 1 else map(m.__mul__, uinf))
         reads.append((c, k, e, u))
-    L = max(L, _width(max(ninf)))
+    L = max(L, _width(max(n1)))
     for c, k, e, u in reads:
         v = (u._at(L) if isinstance(u, TSeries) else u)[: e - k]
         z[k:e] = map(add, z[k:e], v if c == 1 else map(c.__mul__, v))
-    b1 = tuple(n1)
-    return _series(N, L, z, b1, b1 if ninf is n1 else tuple(ninf))
+    return _series(N, L, z, tuple(n1))
 
 
 def catalan_series(N: int) -> TSeries:
@@ -489,7 +451,7 @@ def catalan_xt_series(N: int) -> TSeries:
     """C(xt): coefficient of t^n is C_n x^n, packed as C_n 2^(nL)."""
     cats = tuple(map(catalan, range(N + 1)))
     L = max(_floor(N), _width(cats[-1]))
-    return _series(N, L, (c << n * L for n, c in enumerate(cats)), cats, cats)
+    return _series(N, L, (c << n * L for n, c in enumerate(cats)), cats)
 
 
 def catalan_partial_sum(j_max: int, N: int) -> TSeries:
@@ -523,7 +485,7 @@ def solve_q00k0(k: int, N: int) -> TSeries:
     # the residual's carried bounds stay below 4 m_n, as x*(Q^2)_{n-1} and
     # both parts of B*Q are at most m_n: the check repacks nothing
     L = max(_floor(N), _width(4 * max(bound)))
-    q = _series(N, L, _q00k0_terms(k, N, 1 << L, 1 - (1 << L)), bound, bound)
+    q = _series(N, L, _q00k0_terms(k, N, 1 << L, 1 - (1 << L)), bound)
     one, tx = TSeries.one(N), TSeries.t_power(1, N, XPoly((0, 1)))
     # B = 1 + (tx - t) S_k, whose t^1 coefficient is x - 1
     B = one + TSeries.t_power(1, N, XPoly((-1, 1))) * catalan_partial_sum(k - 1, N)

@@ -152,16 +152,54 @@ def test_block_series_matches_recursion(pat, order):
 @example((0, 4, 4, 4), 30)  # a = 0: the tail at r = 0 is the pattern itself
 @example((2, 0, 3, 4), 30)  # b = 0: the right factor is the pattern itself
 def test_block_series_carries_sound_bounds(pat, order):
-    """The norms a series carries decide its packing width: they must bound
-    its coefficients, and the width must hold them.  Read at that width,
-    every t^n coefficient is counts summing to C_n."""
+    """The norm bound a series carries decides its packing width: it must
+    bound its coefficients, and the width must hold it.  Read at that
+    width, every t^n coefficient is counts summing to C_n."""
     s = block_series(pat, order)
-    for n, (p, n1, ninf) in enumerate(zip(s.coeffs, s.n1, s.ninf)):
+    for n, (p, n1) in enumerate(zip(s.coeffs, s.n1)):
         cs = p.coeffs
-        assert max(map(abs, cs), default=0) <= ninf, n
-        assert sum(map(abs, cs)) <= n1, n
-        assert poly_series._width(ninf) <= s.L, n
+        assert max(map(abs, cs), default=0) <= sum(map(abs, cs)) <= n1, n
+        assert poly_series._width(n1) <= s.L, n
         assert min(cs) >= 0 and sum(cs) == catalan(n), n
+
+
+def test_block_series_runs_at_one_width(monkeypatch):
+    """No product, division or linear combination that `block_series` makes
+    needs more than W_N, so the formula route runs at one width.
+    `solve_q00k0` works at its own width and is skipped; the cache stays
+    warm across each order, as in a run of requests."""
+    seen, inside = [], [False]
+
+    def watch(fn):
+        def run(*args):
+            out = fn(*args)
+            if not inside[0]:
+                seen.append((out.order, out.L))
+            return out
+
+        return run
+
+    def solve(*args):
+        inside[0] = True
+        try:
+            return solve_q00k0(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(TSeries, "__mul__", watch(TSeries.__mul__))
+    monkeypatch.setattr(TSeries, "reciprocal", watch(TSeries.reciprocal))
+    lc = gf_formulas.linear_combination
+    monkeypatch.setattr(gf_formulas, "linear_combination", watch(lc))
+    monkeypatch.setattr(gf_formulas, "solve_q00k0", solve)
+    clear_gf_cache()
+    try:
+        for hi, order in ((8, 20), (4, 40), (3, 60)):
+            for pat in product(range(hi + 1), repeat=4):
+                dispatch(pat, order)
+    finally:
+        clear_gf_cache()
+    assert len(seen) > 13000
+    assert all(L == poly_series._floor(N) for N, L in seen)
 
 
 def test_high_order_formulas_match_recursion():
