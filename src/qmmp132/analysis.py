@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 
 from .dist_engine import _check_length, q_poly_bruteforce, q_poly_recursive
 from .gf_formulas import dispatch
-from .mmp_stat import swap_b_d
+from .mmp_stat import natural_pattern, swap_b_d
 from .perm_core import (
     ResourceLimitError,
     all_perms,
@@ -102,16 +102,17 @@ class SequenceExport:
         return [(self.start + i, v) for i, v in enumerate(self.values)]
 
 
-def _transform_value(q: XPoly, transform: str) -> int:
+def _transform(transform: str) -> Callable[[XPoly], int]:
+    """The coefficient of Q_n that a transform names, as a function of Q_n."""
     if transform == "x0":
-        return q.coeff(0)
+        return lambda q: q.coeff(0)
     if transform == "top":
-        return q.leading()
+        return XPoly.leading
     if transform.startswith("x^"):
         r = parse_digits(transform[2:])
         if r is None:
             raise ValueError(f"bad transform {transform!a}")
-        return q.coeff(r)
+        return lambda q: q.coeff(r)
     raise ValueError(f"unknown transform {transform!a}; use x0, x^R, or top")
 
 
@@ -120,15 +121,15 @@ def export_sequence(
 ) -> SequenceExport:
     """Sequence of one coefficient per length n = 1..n_max, exactly.
 
-    n_max is checked against the recursion's limit before any row is filled.
+    The pattern and n_max, then the transform, then n_max against the
+    recursion's limit are checked before any row is filled.
     """
+    natural_pattern(pattern, n_max)
+    value = _transform(transform)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     _check_length(n_max)
-    vals = tuple(
-        _transform_value(q_poly_recursive(n, pattern), transform)
-        for n in range(1, n_max + 1)
-    )
+    vals = tuple(value(q_poly_recursive(n, pattern)) for n in range(1, n_max + 1))
     a, b, c, d = pattern
     return SequenceExport((a, b, c, d), transform, 1, vals)
 
@@ -233,7 +234,7 @@ def check_closed_forms(
         registry = default_registry()
     if not registry:
         raise ValueError("no checks to run")
-    if n_max < 1:
+    if isinstance(n_max, int) and n_max < 1:  # checks nothing; else a length
         raise ValueError("n_max must be >= 1")
     _check_length(n_max)
     first = min(c.validity for c in registry)
@@ -420,6 +421,7 @@ def classical_equivalence_check(
     scan (n_max <= CLASSICAL_SCAN_CAP), with a fast path when 132 itself
     is forbidden.
     """
+    natural_pattern(pattern, n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > CLASSICAL_SCAN_CAP:

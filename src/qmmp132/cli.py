@@ -29,9 +29,8 @@ from .analysis import (
 )
 from .dist_engine import q_poly_bruteforce, q_poly_recursive, q_series_recursive
 from .gf_formulas import dispatch, q_poly_gf
-from .mmp_stat import mmp_count, natural_pattern, parse_pattern
+from .mmp_stat import mmp_count, parse_pattern
 from .perm_core import ResourceLimitError, parse_perm
-from .poly_series import OrderMismatchError
 
 __all__ = ["main"]
 
@@ -102,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_poly(args) -> int:
-    pat = natural_pattern(parse_pattern(args.pattern))
+    pat = parse_pattern(args.pattern)
     if args.method == "brute":
         q = q_poly_bruteforce(args.n, pat)
     elif args.method == "rec":
@@ -114,9 +113,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    pat = natural_pattern(parse_pattern(args.pattern))
-    if args.order < 0:
-        raise ValueError("order must be >= 0")
+    pat = parse_pattern(args.pattern)
     if args.method == "rec":
         series = q_series_recursive(pat, args.order)
     else:
@@ -133,7 +130,7 @@ def _cmd_stat(args) -> int:
 
 
 def _cmd_seq(args) -> int:
-    pat = natural_pattern(parse_pattern(args.pattern))
+    pat = parse_pattern(args.pattern)
     exp = export_sequence(pat, args.transform, args.n_max)
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -183,7 +180,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return _HANDLERS[args.command](args)
-    except (ResourceLimitError, OrderMismatchError, ValueError) as exc:
+    except (ResourceLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

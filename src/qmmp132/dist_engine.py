@@ -98,7 +98,7 @@ from operator import mul
 import numpy as np
 
 from .mmp_stat import natural_pattern
-from .perm_core import ResourceLimitError, catalan, check_enumeration
+from .perm_core import ResourceLimitError, catalan, check_enumeration, checked_length
 from .poly_series import ONE, TSeries, XPoly, _pack, _unpack, _width
 
 #: largest length the packed-limb table accepts
@@ -172,9 +172,7 @@ def _dot(left: list[int], right: list[int], m: int, lo: int, hi: int) -> int:
 
 
 def _check_length(n: int) -> None:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > RECURSION_N_MAX:
+    if checked_length(n) > RECURSION_N_MAX:
         raise ResourceLimitError(
             f"recursion table supports n <= {RECURSION_N_MAX}, got {n}"
         )
@@ -220,11 +218,11 @@ def q_series_recursive(pat, N: int) -> TSeries:
     builds the row families once; the per-n calls then find their rows,
     except at lengths n < c, whose rows clamp c to n.
     """
-    pat = natural_pattern(pat)
+    pat = natural_pattern(pat, N)
     _check_length(N)
     if N:
         _hold(N)
-        _fill(N, *natural_pattern(pat, N))
+        _fill(N, *pat)
     return TSeries(N, [q_poly_recursive(n, pat) for n in range(N + 1)])
 
 

@@ -102,22 +102,19 @@ class Route(Enum):
 class GfRequest:
     """A routed request: which series to build, how, and to what order.
 
-    ``pattern`` is the canonical pattern: the request reflected when its
-    own shape has no route or 0 < d < b (see `choose_route`), which is
-    also the key `dispatch` caches under and what `block_series` is
-    given.  ``args`` holds the nonzero bounds of ``pattern`` (the full
-    four-tuple for ``Route.ENGINE``); the package does not read it, and it
-    stays because the benchmark's span tracer labels requests by it.
+    ``pattern`` is the canonical pattern: the request clamped to the
+    order, then reflected when its shape has no route or 0 < d < b (see
+    `choose_route`), which is also the key `dispatch` caches under and
+    what `block_series` is given.  ``args`` holds the nonzero bounds of
+    ``pattern`` (the full four-tuple for ``Route.ENGINE``); the package
+    does not read it, and it stays because the benchmark's span tracer
+    labels requests by it.
     """
 
     pattern: tuple[int, int, int, int]
     order: int
     route: Route
     args: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
 
 
 # nonzero coordinates of (a, b, c, d) -> (route, coordinates in args);
@@ -148,12 +145,13 @@ def clear_gf_cache() -> None:
 def choose_route(pattern, order: int) -> GfRequest:
     """Classify a pattern by its zero-shape and pick the route for it.
 
-    Reflection (a, b, c, d) -> (a, d, c, b) is applied exactly when the
-    original shape has no route but the reflected one does, or when
-    0 < d < b; so b <= d whenever both are nonzero, and a distribution
-    and its reflection share one key.
+    Bounds are clamped to the order first, as in `dispatch`.  Reflection
+    (a, b, c, d) -> (a, d, c, b) is then applied exactly when the shape
+    has no route but the reflected one does, or when 0 < d < b; so
+    b <= d whenever both are nonzero, and a distribution and its
+    reflection share one key.
     """
-    pat = natural_pattern(pattern)
+    pat = natural_pattern(pattern, order)
     shape = tuple(i for i, v in enumerate(pat) if v)
     if shape not in _SHAPES or 0 < pat[3] < pat[1]:
         pat = swap_b_d(pat)
@@ -176,8 +174,6 @@ def dispatch(pattern, order: int) -> TSeries:
     under (reflected pattern, order); a reflected request also keeps its
     own key, pointing at that same series, so a repeat skips the routing.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
     asked = (natural_pattern(pattern, order), order)
     out = _cache.get(asked)
     if out is not None:
@@ -206,8 +202,6 @@ def q_poly_gf(n: int, pattern) -> XPoly:
     >>> choose_route((1, 0, 1, 1), 6).route.value  # reflected to (1,1,1,0)
     'q123'
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return dispatch(pattern, n).coeff(n)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .perm_core import Perm, inverse, parse_digits, parse_perm
+from .perm_core import _is_count, checked_length, parse_digits, parse_perm
 
 
 class _Empty:
@@ -49,11 +49,6 @@ class _Empty:
 EMPTY = _Empty()
 
 MmpPattern = tuple  # 4-tuple of bounds (a, b, c, d)
-
-
-def _is_count(bound) -> bool:
-    """A numeric bound: a nonnegative int that is not a bool."""
-    return isinstance(bound, int) and not isinstance(bound, bool) and bound >= 0
 
 
 def _checked(pat, natural: bool = False) -> MmpPattern:
@@ -98,20 +93,23 @@ def format_pattern(pat: MmpPattern) -> str:
     return ",".join("e" if b is EMPTY else str(b) for b in pat)
 
 
-def natural_pattern(pat, n: int | None = None) -> tuple[int, int, int, int]:
-    """Validate an all-natural pattern: a 4-tuple of nonnegative ints.
+def natural_pattern(pat, n: int) -> tuple[int, int, int, int]:
+    """Validate an all-natural pattern and a length, and clamp the one to
+    the other.
 
     This is the input contract of every engine (enumeration, recursion
-    and formulas).  With n given, each bound is clamped to n: a position
-    of a length-n permutation sees n-1 other points, so every bound of n
-    or more is equally unsatisfiable, and clamping keeps tables small for
-    outlandish bounds.
+    and formulas): the pattern is a 4-tuple of nonnegative ints, checked
+    first, and n a nonnegative int (a length or a series order).  Each
+    bound is clamped to n: a position of a length-n permutation sees n-1
+    other points, so every bound of n or more is equally unsatisfiable,
+    and clamping keeps tables small for outlandish bounds.
 
-    >>> natural_pattern((1, 99, 0, 2), n=5)
+    >>> natural_pattern((1, 99, 0, 2), 5)
     (1, 5, 0, 2)
     """
     _checked(pat, natural=True)
-    return pat if n is None else tuple(min(b, n) for b in pat)
+    checked_length(n)
+    return tuple(min(b, n) for b in pat)
 
 
 def quadrant_counts(p: Sequence[int], i: int) -> tuple[int, int, int, int]:
@@ -139,26 +137,24 @@ def quadrant_counts(p: Sequence[int], i: int) -> tuple[int, int, int, int]:
     return q1, q2, q3, q4
 
 
-def _satisfies(count: int, bound) -> bool:
-    if bound is EMPTY:
-        return count == 0
-    return count >= bound
+def _meets(counts: tuple[int, int, int, int], pat: MmpPattern) -> bool:
+    """True when every count meets its bound: >= k, or == 0 for EMPTY."""
+    return all(c == 0 if b is EMPTY else c >= b for c, b in zip(counts, pat))
 
 
 def matches_at(p: Sequence[int], i: int, pat: MmpPattern) -> bool:
     """True when every quadrant count around position i meets its bound."""
-    counts = quadrant_counts(p, i)
-    return all(_satisfies(c, b) for c, b in zip(counts, _checked(pat)))
+    return _meets(quadrant_counts(p, i), _checked(pat))
 
 
 def mmp_count(p: Sequence[int], pat: MmpPattern) -> int:
-    """Number of positions of p matching the pattern.
+    """Number of positions of p matching the pattern, checked once.
 
     >>> mmp_count(parse_perm("341256"), make_pattern(1, 1, 1, 0))
     1
     """
     _checked(pat)
-    return sum(1 for i in range(1, len(p) + 1) if matches_at(p, i, pat))
+    return sum(_meets(quadrant_counts(p, i), pat) for i in range(1, len(p) + 1))
 
 
 def swap_b_d(pat: MmpPattern) -> MmpPattern:
@@ -183,5 +179,4 @@ __all__ = [
     "matches_at",
     "mmp_count",
     "swap_b_d",
-    "inverse",
 ]

@@ -100,11 +100,21 @@ def avoids_132(p: Sequence[int]) -> bool:
     return True
 
 
+def _is_count(value) -> bool:
+    """A length or a numeric bound: a nonnegative int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def checked_length(n) -> int:
+    """The one length check, of every length and order: n must be a count."""
+    if not _is_count(n):
+        raise ValueError(f"length must be a nonnegative int, got {n!r}")
+    return n
+
+
 def check_enumeration(n: int) -> None:
     """Reject a length no enumeration of S_n(132) accepts, before any work."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > DEFAULT_ENUM_CAP:
+    if checked_length(n) > DEFAULT_ENUM_CAP:
         raise ResourceLimitError(
             f"enumeration of S_{n}(132) exceeds cap {DEFAULT_ENUM_CAP}"
         )

@@ -64,7 +64,7 @@ from __future__ import annotations
 from operator import add, mul, neg
 from typing import Iterable, Sequence
 
-from .perm_core import catalan
+from .perm_core import catalan, checked_length
 
 
 class OrderMismatchError(ValueError):
@@ -288,8 +288,7 @@ class TSeries:
     __slots__ = ("order", "L", "z", "n1", "_xp")
 
     def __init__(self, order: int, coeffs: Sequence = ()):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
+        checked_length(order)
         cs = [_as_xpoly(c).coeffs for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError("more coefficients than order allows")

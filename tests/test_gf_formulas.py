@@ -24,7 +24,7 @@ from qmmp132 import (
 )
 from qmmp132.dist_engine import clear_recursion_memo, q_series_recursive
 from qmmp132 import dist_engine, gf_formulas, poly_series
-from qmmp132.gf_formulas import GfRequest, block_series, clear_gf_cache
+from qmmp132.gf_formulas import block_series, clear_gf_cache
 from qmmp132.mmp_stat import swap_b_d
 from qmmp132.poly_series import TSeries, solve_q00k0
 
@@ -81,8 +81,8 @@ def test_choose_route_validation():
         choose_route((1, EMPTY, 0, 0), 5)
     with pytest.raises(ValueError):
         choose_route((1, -1, 0, 0), 5)
-    with pytest.raises(ValueError):
-        GfRequest((1, 0, 0, 0), -1, Route.Q1, (1,))
+    with pytest.raises(ValueError, match="length"):
+        choose_route((1, 0, 0, 0), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +367,7 @@ def test_formula_argument_validation():
         for fn in (block_series, dispatch):
             with pytest.raises(ValueError):
                 fn(pat, 5)
-    with pytest.raises(ValueError, match="order"):
+    with pytest.raises(ValueError, match="length"):
         dispatch((1, 1, 1, 1), -1)
 
 

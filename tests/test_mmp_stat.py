@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pickle
+import re
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +14,15 @@ from hypothesis import strategies as st
 from conftest import oracle_mmp_count, oracle_quadrant_counts
 from qmmp132 import (
     EMPTY,
+    TSeries,
+    check_closed_forms,
+    choose_route,
+    classical_equivalence_check,
+    cross_validate,
     dispatch,
+    export_sequence,
     format_pattern,
+    gen_avoiders,
     inverse,
     make_pattern,
     matches_at,
@@ -21,10 +30,14 @@ from qmmp132 import (
     parse_pattern,
     parse_perm,
     q_poly_bruteforce,
+    q_poly_gf,
     q_poly_recursive,
+    q_series_recursive,
     quadrant_counts,
     swap_b_d,
 )
+from qmmp132 import dist_engine, gf_formulas
+from qmmp132.gf_formulas import block_series
 
 perm_strategy = st.integers(1, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
@@ -145,6 +158,50 @@ def test_every_engine_rejects_malformed_patterns(pat):
     for engine in (q_poly_recursive, q_poly_bruteforce, lambda n, p: dispatch(p, n)):
         with pytest.raises(ValueError):
             engine(3, pat)
+
+
+# every public entry that takes a length or an order, called with it as n
+LENGTH_ENTRIES = {
+    "q_poly_recursive": lambda n: q_poly_recursive(n, (1, 1, 1, 1)),
+    "q_poly_bruteforce": lambda n: q_poly_bruteforce(n, (1, 1, 1, 1)),
+    "q_poly_gf": lambda n: q_poly_gf(n, (1, 1, 1, 1)),
+    "q_series_recursive": lambda n: q_series_recursive((1, 1, 1, 1), n),
+    "dispatch": lambda n: dispatch((1, 1, 1, 1), n),
+    "block_series": lambda n: block_series((1, 1, 1, 1), n),
+    "choose_route": lambda n: choose_route((1, 1, 1, 1), n),
+    "export_sequence": lambda n: export_sequence((1, 1, 1, 1), "x0", n),
+    "check_closed_forms": lambda n: check_closed_forms(n_max=n),
+    "cross_validate n_max": lambda n: cross_validate(1, n, 3),
+    "cross_validate order": lambda n: cross_validate(1, 3, n),
+    "classical_equivalence_check": lambda n: classical_equivalence_check(
+        (1, 1, 1, 0), [(1, 3, 2)], n
+    ),
+    "gen_avoiders": gen_avoiders,
+    "TSeries": TSeries,
+}
+
+
+@pytest.mark.parametrize("n", [True, 2.5, "3", None, -1, np.int64(3)], ids=repr)
+@pytest.mark.parametrize("entry", LENGTH_ENTRIES)
+def test_every_entry_rejects_malformed_lengths_before_any_work(entry, n):
+    # one check and one message for every length, never a TypeError
+    dist_engine.clear_recursion_memo()
+    dist_engine.clear_brute_cache()
+    gf_formulas.clear_gf_cache()
+    text = f"length must be a nonnegative int, got {n!r}"
+    if (entry, n) == ("check_closed_forms", -1):  # no length up to n_max
+        text = "n_max must be >= 1"
+    with pytest.raises(ValueError, match=re.escape(text)):
+        LENGTH_ENTRIES[entry](n)
+    assert not dist_engine._memo
+    assert not gf_formulas._cache
+    assert not dist_engine._count_tensors
+
+
+def test_choose_route_pattern_is_the_dispatch_cache_key():
+    gf_formulas.clear_gf_cache()
+    dispatch((1, 99, 0, 0), 6)
+    assert (choose_route((1, 99, 0, 0), 6).pattern, 6) in gf_formulas._cache
 
 
 def test_parse_pattern():
