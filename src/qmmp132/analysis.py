@@ -39,6 +39,7 @@ from .gf_formulas import dispatch
 from .mmp_stat import natural_pattern, swap_b_d
 from .perm_core import (
     ResourceLimitError,
+    _is_count,
     all_perms,
     avoiders_after_also_avoiding,
     catalan,
@@ -509,8 +510,12 @@ def cross_validate(
     enumeration limit or an order above the recursion's limit raises
     ResourceLimitError.
     """
-    if entry_bound < 0:
-        raise ValueError("entry_bound must be >= 0")
+    if not _is_count(entry_bound):
+        raise ValueError(
+            "entry_bound must be >= 0"
+            if type(entry_bound) is int
+            else f"entry_bound must be a nonnegative int, got {entry_bound!r}"
+        )
     check_enumeration(n_max)
     _check_length(order)
     patterns = 0

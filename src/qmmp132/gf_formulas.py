@@ -151,7 +151,11 @@ def choose_route(pattern, order: int) -> GfRequest:
     b <= d whenever both are nonzero, and a distribution and its
     reflection share one key.
     """
-    pat = natural_pattern(pattern, order)
+    return _route(natural_pattern(pattern, order), order)
+
+
+def _route(pat, order: int) -> GfRequest:
+    """`choose_route` for a pattern already checked and clamped."""
     shape = tuple(i for i, v in enumerate(pat) if v)
     if shape not in _SHAPES or 0 < pat[3] < pat[1]:
         pat = swap_b_d(pat)
@@ -173,19 +177,21 @@ def dispatch(pattern, order: int) -> TSeries:
     formula route's only cache lives here.  Each series is computed once,
     under (reflected pattern, order); a reflected request also keeps its
     own key, pointing at that same series, so a repeat skips the routing.
+    The pattern and order are checked once, here: the bodies of
+    `choose_route` and `block_series` that this calls check nothing again.
     """
     asked = (natural_pattern(pattern, order), order)
     out = _cache.get(asked)
     if out is not None:
         return out
-    req = choose_route(asked[0], order)
+    req = _route(asked[0], order)
     key = (req.pattern, order)
     out = _cache.get(key)
     if out is None:
         if sum(req.pattern) >= order:  # no position of length <= order matches
             out = catalan_series(order)
         else:
-            out = block_series(req.pattern, order)
+            out = _block_series(req.pattern, order)
         # the coefficients of Q_n are counts summing to C_n: checked, and
         # from here on they bound the series' norms
         out = out.distribution()
@@ -249,11 +255,15 @@ def block_series(pattern, order: int) -> TSeries:
     >>> print(block_series((2, 0, 0, 1), 5).coeff(5))
     23+13x+6x^2
     """
-    pat = natural_pattern(pattern, order)
+    return _block_series(natural_pattern(pattern, order), order)
+
+
+def _block_series(pat, order: int) -> TSeries:
+    """`block_series` for a pattern already checked and clamped."""
     a, b, c, d = pat
     if a + b == 0:
         if d:
-            return block_series(swap_b_d(pat), order)
+            return _block_series(swap_b_d(pat), order)
         return solve_q00k0(c, order) if c else catalan_xt_series(order)
     a1 = max(a - 1, 0)
     s_b = [catalan(m) for m in range(b - 1)]  # S_{b-2}

@@ -45,11 +45,9 @@ def catalan(n: int) -> int:
     >>> [catalan(n) for n in range(7)]
     [1, 1, 2, 5, 14, 42, 132]
     """
-    if 0 <= n < len(_catalans):
+    if type(n) is int and 0 <= n < len(_catalans):  # the hot path: one table read
         return _catalans[n]
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > _CATALAN_TABLE_MAX:
+    if checked_length(n) > _CATALAN_TABLE_MAX:
         return comb(2 * n, n) // (n + 1)
     for m in range(len(_catalans), n + 1):
         _catalans.append(_catalans[-1] * (4 * m - 2) // (m + 1))

@@ -28,21 +28,22 @@ bound forward, and a width of bit_length(bound) + 2 holds a coefficient:
 * division v/u (`reciprocal`; 1/u without v), u_0 = +-1, by forward
   substitution w_n = u_0 (v_n - sum_{k>=1} u_k w_{n-k}), with
   |w_n|_1 <= r_n = |v_n|_1 + sum_{k>=1} |u_k|_1 r_{n-k};
-* solve_q00k0: the same kind of majorant, over the recurrence it runs.
+* solve_q00k0: no majorant; it runs at W_N, and the bound of its t^n
+  coefficient is C_n, since that coefficient's entries are counts
+  summing to C_n (see there).
 
 A series is repacked only when a bound no longer fits its width.  Every
 series of order N starts at no less than W_N = width(C_{N+2}): over
 {0..8}^4 at order 20, {0..4}^4 at order 40 and {0..3}^4 at order 60 no
 product, sum or division in `block_series` needed more (a test checks
-this), so the formula route runs at one width (`solve_q00k0` works at its
-own, and `dispatch` narrows its result).  W_N only decides where packing
-starts; correctness rests on the bounds.  `TSeries.distribution`, which
-`dispatch` applies to each result, checks z mod (2^L - 1) = p(1) mod
-(2^L - 1) against C_n, resets the bound of t^n to C_n (the coefficients
-are counts) and moves the series to W_N.  Unpacking happens only on
-read: `coeffs` (once), `coeff(n)`, printing, hashing, and equality across
-widths.  t and x are never packed together: one integer for both
-measured about 30x slower.
+this), so the formula route runs at one width, `solve_q00k0` included.
+W_N only decides where packing starts; correctness rests on the bounds.
+`TSeries.distribution`, which `dispatch` applies to each result, checks
+z mod (2^L - 1) = p(1) mod (2^L - 1) against C_n, resets the bound of
+t^n to C_n (the coefficients are counts) and moves the series to W_N.
+Unpacking happens only on read: `coeffs` (once), `coeff(n)`, printing,
+hashing, and equality across widths.  t and x are never packed
+together: one integer for both measured about 30x slower.
 
 Textual forms follow the house style of the series being modeled:
 polynomials print ascending, "38+4x", "99+29x+4x^2"; a series prints one
@@ -229,12 +230,10 @@ def _inverse_terms(u: Sequence[int], num: Iterable[int], sign: int) -> list[int]
     return w
 
 
-def _q00k0_terms(k: int, N: int, x: int, b: int) -> list[int]:
-    """Q_n = [n=0] + x*(Q^2)_{n-1} + b * sum_{j=1}^{k} C_{j-1} Q_{n-j}, n <= N.
-
-    At x = 2^L, b = 1 - 2^L this is the (0,0,k,0) series packed at width
-    L; at x = 1, b = 2 it is the majorant of the coefficients' 1-norms.
-    """
+def _q00k0_terms(k: int, N: int, L: int) -> list[int]:
+    """Q_n = [n=0] + x*(Q^2)_{n-1} - (x - 1) * sum_{j=1}^{k} C_{j-1} Q_{n-j},
+    n <= N, at x = 2^L: the (0,0,k,0) series packed at width L."""
+    x, b = 1 << L, 1 - (1 << L)
     cat = [catalan(j) for j in range(k)]
     q = [1]
     for n in range(1, N + 1):
@@ -463,6 +462,11 @@ def rational_series(num: Sequence[int], den: Sequence[int], N: int) -> TSeries:
     return _int_series(N, den).reciprocal(_int_series(N, num))
 
 
+def _times_x(s: TSeries) -> TSeries:
+    """x * s: every limb moves up one place, and the bounds stay."""
+    return _series(s.order, s.L, (z << s.L for z in s.z), s.n1)
+
+
 def solve_q00k0(k: int, N: int) -> TSeries:
     """Series Q with t*x*Q^2 - (1 + (tx - t)*S_k)*Q + 1 = 0 and Q(0) = 1.
 
@@ -473,24 +477,34 @@ def solve_q00k0(k: int, N: int) -> TSeries:
 
         Q_n = [n=0] + x*(Q^2)_{n-1} - sum_{j>=1} B_j Q_{n-j},
 
-    whose right side only needs Q_0..Q_{n-1}.  It runs packed at a width
-    taken from the same recurrence with every term replaced by its
-    1-norm bound: O(N^2) big-integer products in all.  The packed terms
-    are the result, bounded by that majorant.
+    whose right side only needs Q_0..Q_{n-1}: O(N^2) big-integer products
+    in all.  It runs packed at W_N, and each t^n coefficient carries the
+    bound C_n.  The width argument:
+
+    * packed arithmetic is exact: p -> p(2^L) is a ring map, so the
+      recurrence run at x = 2^L yields z_n = Q_n(2^L) at any L;
+    * so the residual check below, t*x*Q^2 - Q + 1 - sum_{j=1}^{k}
+      C_{j-1} t^j (x*Q - Q) computed as one product and one
+      `linear_combination`, is exact at any width too, and a zero
+      residual shows only that the recurrence code matches the quadratic;
+    * the width matters only for reading z_n back.  Q_n's coefficients
+      are counts that sum to C_n: at x = 1 the quadratic is Catalan's,
+      t*Q^2 - Q + 1 = 0.  `TSeries.distribution` already rests on this
+      for every `dispatch` result, so W_N = width(C_{N+2}) holds them.
+
+    With those bounds the residual's terms sum to at most 4 C_n at t^n,
+    within W_N for every N: nothing is repacked.
     """
     if k < 1:
         raise ValueError("k must be >= 1 (k = 0 is the C(xt) case)")
-    bound = tuple(_q00k0_terms(k, N, 1, 2))
-    # the residual's carried bounds stay below 4 m_n, as x*(Q^2)_{n-1} and
-    # both parts of B*Q are at most m_n: the check repacks nothing
-    L = max(_floor(N), _width(4 * max(bound)))
-    q = _series(N, L, _q00k0_terms(k, N, 1 << L, 1 - (1 << L)), bound)
-    one, tx = TSeries.one(N), TSeries.t_power(1, N, XPoly((0, 1)))
-    # B = 1 + (tx - t) S_k, whose t^1 coefficient is x - 1
-    B = one + TSeries.t_power(1, N, XPoly((-1, 1))) * catalan_partial_sum(k - 1, N)
-    # exact residual check: the quadratic must vanish identically, and a
-    # packing whose bounds fit its width is 0 only for the zero polynomial
-    residual = tx * q * q - B * q + one
-    if any(residual.z):
+    L = _floor(N)
+    cats = tuple(map(catalan, range(N + 1)))
+    q = _series(N, L, _q00k0_terms(k, N, L), cats)
+    xq = _times_x(q)
+    terms = [(1, 1, _times_x(q * q)), (-1, 0, q), (1, 0, (1,))]
+    for j in range(1, k + 1):
+        c = catalan(j - 1)
+        terms += [(-c, j, xq), (c, j, q)]
+    if any(linear_combination(N, terms).z):
         raise ArithmeticError("recurrence failed to satisfy its quadratic")
     return q

@@ -291,6 +291,10 @@ def test_cross_validate_is_deterministic():
         (lambda: cross_validate(-1, 5, 5), ValueError, "entry_bound"),
         (lambda: cross_validate(1, -1, 5), ValueError, "nonnegative"),
         (lambda: cross_validate(1, 5, -1), ValueError, "nonnegative"),
+        (lambda: cross_validate(-1, 5, 5), ValueError, "entry_bound must be >= 0$"),
+        (lambda: cross_validate("3", 5, 5), ValueError, "entry_bound .* got '3'"),
+        (lambda: cross_validate(2.5, 5, 5), ValueError, "entry_bound .* got 2.5"),
+        (lambda: cross_validate(True, 5, 5), ValueError, "entry_bound .* got True"),
     ],
 )
 def test_limits_fail_before_any_row_or_table(call, error, text):

@@ -23,7 +23,7 @@ from qmmp132 import (
     rational_series,
 )
 from qmmp132.dist_engine import clear_recursion_memo, q_series_recursive
-from qmmp132 import dist_engine, gf_formulas, poly_series
+from qmmp132 import dist_engine, gf_formulas, mmp_stat, poly_series
 from qmmp132.gf_formulas import block_series, clear_gf_cache
 from qmmp132.mmp_stat import swap_b_d
 from qmmp132.poly_series import TSeries, solve_q00k0
@@ -165,32 +165,24 @@ def test_block_series_carries_sound_bounds(pat, order):
 
 def test_block_series_runs_at_one_width(monkeypatch):
     """No product, division or linear combination that `block_series` makes
-    needs more than W_N, so the formula route runs at one width.
-    `solve_q00k0` works at its own width and is skipped; the cache stays
-    warm across each order, as in a run of requests."""
-    seen, inside = [], [False]
+    needs more than W_N, `solve_q00k0` included, so the formula route runs
+    at one width.  The cache stays warm across each order, as in a run of
+    requests."""
+    seen = []
 
     def watch(fn):
         def run(*args):
             out = fn(*args)
-            if not inside[0]:
-                seen.append((out.order, out.L))
+            seen.append((out.order, out.L))
             return out
 
         return run
-
-    def solve(*args):
-        inside[0] = True
-        try:
-            return solve_q00k0(*args)
-        finally:
-            inside[0] = False
 
     monkeypatch.setattr(TSeries, "__mul__", watch(TSeries.__mul__))
     monkeypatch.setattr(TSeries, "reciprocal", watch(TSeries.reciprocal))
     lc = gf_formulas.linear_combination
     monkeypatch.setattr(gf_formulas, "linear_combination", watch(lc))
-    monkeypatch.setattr(gf_formulas, "solve_q00k0", solve)
+    monkeypatch.setattr(poly_series, "linear_combination", watch(lc))
     clear_gf_cache()
     try:
         for hi, order in ((8, 20), (4, 40), (3, 60)):
@@ -203,8 +195,9 @@ def test_block_series_runs_at_one_width(monkeypatch):
 
 
 def test_high_order_formulas_match_recursion():
-    for k in (1, 2, 3, 4):
-        assert solve_q00k0(k, 60) == q_series_recursive((0, 0, k, 0), 60), k
+    # the recursion's top order: the count bound of solve_q00k0 rests on this
+    for k in range(1, 9):
+        assert solve_q00k0(k, 64) == q_series_recursive((0, 0, k, 0), 64), k
     assert dispatch((1, 1, 1, 1), 60) == q_series_recursive((1, 1, 1, 1), 60)
     # one pattern per zero-shape: every Route, and the three shapes that
     # only reflection reaches
@@ -472,13 +465,13 @@ def test_formula_route_needs_no_recursion(monkeypatch):
 
 def test_a_corrupted_limb_trips_the_dispatch_sum_check(monkeypatch):
     # one more x in the top coefficient: that t^n no longer sums to C_n
-    good = gf_formulas.block_series
+    good = gf_formulas._block_series
 
     def corrupted(pattern, order):
         return good(pattern, order) + TSeries.t_power(order, order, XPoly((0, 1)))
 
     clear_gf_cache()
-    monkeypatch.setattr(gf_formulas, "block_series", corrupted)
+    monkeypatch.setattr(gf_formulas, "_block_series", corrupted)
     try:
         with pytest.raises(ArithmeticError):
             dispatch((1, 1, 1, 1), 6)
@@ -487,8 +480,8 @@ def test_a_corrupted_limb_trips_the_dispatch_sum_check(monkeypatch):
 
 
 def test_a_cold_dispatch_keeps_its_series_packed(monkeypatch):
-    # products and sums stay packed; unpacks come from narrowing the
-    # (0,0,c,0) series to the common width, and from reads
+    # the whole route, the (0,0,c,0) series included, runs at W_N: nothing
+    # is unpacked until the result is read
     calls = []
     real = poly_series._unpack
 
@@ -501,6 +494,31 @@ def test_a_cold_dispatch_keeps_its_series_packed(monkeypatch):
     clear_gf_cache()
     clear_recursion_memo()
     out = dispatch((3, 3, 3, 3), 30)
-    assert len(calls) < 1000
+    assert calls == []
     clear_gf_cache()
     assert out == q_series_recursive((3, 3, 3, 3), 30)
+
+
+def test_dispatch_checks_each_pattern_once(monkeypatch):
+    # sub-series requests go through dispatch, and nothing below it checks
+    # the pattern again
+    calls = {"dispatch": 0, "_checked": 0}
+
+    def counted(mod, name):
+        real = getattr(mod, name)
+
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, run)
+
+    counted(gf_formulas, "dispatch")
+    counted(mmp_stat, "_checked")
+    clear_gf_cache()
+    try:
+        gf_formulas.dispatch((3, 3, 3, 3), 30)
+    finally:
+        clear_gf_cache()
+    assert calls["dispatch"] > 50
+    assert calls["_checked"] == calls["dispatch"]

@@ -48,8 +48,10 @@ def test_catalan_matches_binomial_formula():
 
 
 def test_catalan_rejects_negative():
-    with pytest.raises(ValueError):
-        catalan(-1)
+    # and everything else that is not a length, through the one length check
+    for n in (-1, -5, 2.5, 3.0, True, False, "3", None):
+        with pytest.raises(ValueError, match="length must be a nonnegative int, got"):
+            catalan(n)
 
 
 def test_is_permutation():
