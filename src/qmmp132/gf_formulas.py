@@ -61,7 +61,7 @@ from enum import Enum
 # not called here; the benchmark's self-tests check that this name is bound
 from .dist_engine import q_series_recursive
 from .mmp_stat import natural_pattern, swap_b_d
-from .perm_core import catalan
+from .perm_core import catalans
 from .poly_series import (
     TSeries,
     XPoly,
@@ -245,6 +245,22 @@ def block_series(pattern, order: int) -> TSeries:
     of M, the denominator 1 - t lam and the final + S are built the same
     way.
 
+    The product M and the division take count bounds that the identity
+    proves, so neither runs a second O(N^2) pass on norm bounds (a
+    convolution for M, a majorant for the quotient) only to pick a width:
+
+    * a match needs a + b + c + d other points, so Q(a, b, c, d)_j = C_j,
+      x-free, for every j <= b and every j <= d.  S_{b-2} and S_{d-1}
+      therefore remove exactly these coefficients, and each of
+      Q(a', b, c, 0) - S_{b-2}, Q(a, 0, c, d) - S_{d-1} and the quotient
+      Q - S has, at t^j, either 0 or Q_j, whose coefficients are counts
+      summing to C_j: nonnegative, with 1-norm at most C_j;
+    * so |M_n|_1 <= sum_i C_i C_{n-i} = C_{n+1}, and |(Q - S)_n|_1 <= C_n.
+
+    Both are below C_{N+2}, so the width stays W_N.  The packed arithmetic
+    is exact at any width, so the bounds only decide the read-back, and
+    `dispatch` checks every result's sums (`TSeries.distribution`).
+
     At a = b = 0, (0, 0, c, 0) is the x-marked Catalan series when c = 0,
     else the quadratic fixed point of `solve_q00k0`; (0, 0, c, d) with
     d >= 1 is computed as its reflection (0, d, c, 0).  Bounds are
@@ -266,19 +282,20 @@ def _block_series(pat, order: int) -> TSeries:
             return _block_series(swap_b_d(pat), order)
         return solve_q00k0(c, order) if c else catalan_xt_series(order)
     a1 = max(a - 1, 0)
-    s_b = [catalan(m) for m in range(b - 1)]  # S_{b-2}
+    cats = catalans(order + 1)  # C_0 .. C_{N+1}, every Catalan number read here
+    s_b = cats[: max(b - 1, 0)]  # S_{b-2}
+    s_d = cats[:d]  # S_{d-1}
     # the numerator 1 + t (H + T + M) as terms (c, k, u), each c t^k u
     num = [(1, 0, (1,))]
     for k in range(b - 1):
-        num.append((catalan(k), k + 1, dispatch((a, b - k - 1, c, d), order)))
+        num.append((cats[k], k + 1, dispatch((a, b - k - 1, c, d), order)))
     lam = None
     for r in range(d):
         if a == r == 0:  # Q(a', b, c, d) is the pattern itself
             lam, s = (1,), s_b
             continue
         tail = dispatch((a1, b, c, d - r), order)
-        num += [(catalan(r), r + 1, tail), (-catalan(r), r + 1, s_b)]
-    s_d = [catalan(m) for m in range(d)]  # S_{d-1}
+        num += [(cats[r], r + 1, tail), (-cats[r], r + 1, s_b)]
     if a == d == 0:  # the left factor is the pattern itself
         lam, s = dispatch((0, 0, c, 0), order), s_b
     elif b == 0:  # the right factor is the pattern itself
@@ -288,10 +305,12 @@ def _block_series(pat, order: int) -> TSeries:
         left = linear_combination(order, [(1, 0, left), (-1, 0, s_b)])
         right = dispatch((a, 0, c, d), order)
         right = linear_combination(order, [(1, 0, right), (-1, 0, s_d)])
-        num.append((1, 1, left * right))
+        # the proven bound |M_n|_1 <= C_{n+1} (see block_series)
+        num.append((1, 1, left.__mul__(right, cats[1:])))
     if lam is None:
         return linear_combination(order, num)
     num.append((-1, 0, s))
     den = linear_combination(order, [(1, 0, (1,)), (-1, 1, lam)])
-    out = den.reciprocal(linear_combination(order, num))
+    # the proven bound |(Q - S)_n|_1 <= C_n (see block_series)
+    out = den.reciprocal(linear_combination(order, num), cats[:-1])
     return linear_combination(order, [(1, 0, out), (1, 0, s)])

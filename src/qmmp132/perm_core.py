@@ -54,6 +54,17 @@ def catalan(n: int) -> int:
     return _catalans[n]
 
 
+def catalans(n: int) -> tuple[int, ...]:
+    """(C_0, C_1, ..., C_n), one slice of the table when it reaches C_n.
+
+    >>> catalans(6)
+    (1, 1, 2, 5, 14, 42, 132)
+    """
+    if type(n) is int and 0 <= n < len(_catalans):
+        return tuple(_catalans[: n + 1])
+    return tuple(map(catalan, range(checked_length(n) + 1)))
+
+
 def is_permutation(values: Sequence[int]) -> bool:
     """True when values is a rearrangement of 1..len(values)."""
     n = len(values)

@@ -32,6 +32,10 @@ bound forward, and a width of bit_length(bound) + 2 holds a coefficient:
   coefficient is C_n, since that coefficient's entries are counts
   summing to C_n (see there).
 
+A caller that has proved a bound passes it to the product or the division,
+which then skips its own O(N^2) pass on bounds: `block_series` passes
+count bounds, C_{n+1} for its product and C_n for its quotient (see there).
+
 A series is repacked only when a bound no longer fits its width.  Every
 series of order N starts at no less than W_N = width(C_{N+2}): over
 {0..8}^4 at order 20, {0..4}^4 at order 40 and {0..3}^4 at order 60 no
@@ -65,7 +69,7 @@ from __future__ import annotations
 from operator import add, mul, neg
 from typing import Iterable, Sequence
 
-from .perm_core import catalan, checked_length
+from .perm_core import catalan, catalans, checked_length
 
 
 class OrderMismatchError(ValueError):
@@ -179,7 +183,6 @@ class XPoly:
         return "".join(parts)
 
 
-ZERO = XPoly()
 ONE = XPoly((1,))
 
 
@@ -234,7 +237,7 @@ def _q00k0_terms(k: int, N: int, L: int) -> list[int]:
     """Q_n = [n=0] + x*(Q^2)_{n-1} - (x - 1) * sum_{j=1}^{k} C_{j-1} Q_{n-j},
     n <= N, at x = 2^L: the (0,0,k,0) series packed at width L."""
     x, b = 1 << L, 1 - (1 << L)
-    cat = [catalan(j) for j in range(k)]
+    cat = catalans(k - 1)
     q = [1]
     for n in range(1, N + 1):
         h = n // 2  # (Q^2)_{n-1} by symmetry: twice the half-sum, plus a middle square
@@ -305,16 +308,11 @@ class TSeries:
     def one(cls, order: int) -> "TSeries":
         return _int_series(order, (1,))
 
-    @classmethod
-    def t_power(cls, r: int, order: int, c=1) -> "TSeries":
-        """c * t^r (c an int or XPoly); zero if r exceeds the order."""
-        return cls(order, (ZERO,) * r + (c,)) if r <= order else cls(order)
-
     def distribution(self) -> "TSeries":
         """This series at width W_N, each t^n coefficient known to be counts
         summing to C_n, so that its bound is C_n.  The sums are
         checked, z mod (2^L - 1) = p(1) mod (2^L - 1) = C_n, else ArithmeticError."""
-        cats = tuple(map(catalan, range(self.order + 1)))
+        cats = catalans(self.order)
         if tuple(map(((1 << self.L) - 1).__rmod__, self.z)) != cats:
             raise ArithmeticError("a t-coefficient does not sum to its Catalan number")
         W = _floor(self.order)
@@ -353,30 +351,38 @@ class TSeries:
     def __sub__(self, other: "TSeries") -> "TSeries":
         return linear_combination(self.order, ((1, 0, self), (-1, 0, other)))
 
-    def __mul__(self, other: "TSeries") -> "TSeries":
+    def __mul__(self, other: "TSeries", n1: Sequence[int] | None = None) -> "TSeries":
         """Product through the packed kernel: one big-integer dot product
-        per output coefficient, at a width from the convolved bounds."""
+        per output coefficient.  ``n1`` bounds the product's norms when the
+        caller has proved a bound; without it they are the convolved bounds."""
         self._check(other)
-        N, u1, v1 = self.order, self.n1, other.n1[::-1]
-        n1 = tuple(sum(map(mul, u1, v1[N - n :])) for n in range(N + 1))
+        N = self.order
+        if n1 is None:
+            u1, v1 = self.n1, other.n1[::-1]
+            n1 = tuple(sum(map(mul, u1, v1[N - n :])) for n in range(N + 1))
         L = max(self.L, other.L, _width(max(n1)))
         A, B = self._at(L), other._at(L)[::-1]
         z = [sum(map(mul, A, B[N - n :])) for n in range(N + 1)]
         return _series(N, L, z, n1)
 
-    def reciprocal(self, num: "TSeries | None" = None) -> "TSeries":
+    def reciprocal(
+        self, num: "TSeries | None" = None, n1: Sequence[int] | None = None
+    ) -> "TSeries":
         """num / self by forward substitution, 1 / self without num; the
-        constant term of self must be exactly 1 or -1."""
+        constant term of self must be exactly 1 or -1.  ``n1`` bounds the
+        quotient's norms when the caller has proved a bound; without it
+        they are the majorant of num / self."""
         u0 = self.z[0]  # +1 or -1, self-inverse
         if u0 != 1 and u0 != -1:
             raise ValueError("reciprocal needs constant term +1 or -1")
         if num is None:
             num = TSeries.one(self.order)
         self._check(num)
-        r = tuple(_inverse_terms(self.n1, num.n1, 1))
-        L = max(self.L, num.L, _width(max(r)))
+        if n1 is None:
+            n1 = tuple(_inverse_terms(self.n1, num.n1, 1))
+        L = max(self.L, num.L, _width(max(n1)))
         v = num._at(L) if u0 == 1 else map(neg, num._at(L))
-        return _series(self.order, L, _inverse_terms(self._at(L), v, -u0), r)
+        return _series(self.order, L, _inverse_terms(self._at(L), v, -u0), n1)
 
     def subs_x(self, x: int) -> "TSeries":
         """Evaluate every coefficient at an integer x."""
@@ -442,19 +448,14 @@ def linear_combination(order: int, terms: Iterable[tuple]) -> TSeries:
 
 def catalan_series(N: int) -> TSeries:
     """C(t) = sum C_n t^n truncated at t^N."""
-    return _int_series(N, [catalan(n) for n in range(N + 1)])
+    return _int_series(N, catalans(N))
 
 
 def catalan_xt_series(N: int) -> TSeries:
     """C(xt): coefficient of t^n is C_n x^n, packed as C_n 2^(nL)."""
-    cats = tuple(map(catalan, range(N + 1)))
+    cats = catalans(N)
     L = max(_floor(N), _width(cats[-1]))
     return _series(N, L, (c << n * L for n, c in enumerate(cats)), cats)
-
-
-def catalan_partial_sum(j_max: int, N: int) -> TSeries:
-    """sum_{j=0}^{j_max} C_j t^j as a series of order N; zero when j_max < 0."""
-    return _int_series(N, [catalan(n) for n in range(min(j_max, N) + 1)])
 
 
 def rational_series(num: Sequence[int], den: Sequence[int], N: int) -> TSeries:
@@ -498,12 +499,11 @@ def solve_q00k0(k: int, N: int) -> TSeries:
     if k < 1:
         raise ValueError("k must be >= 1 (k = 0 is the C(xt) case)")
     L = _floor(N)
-    cats = tuple(map(catalan, range(N + 1)))
+    cats = catalans(N)
     q = _series(N, L, _q00k0_terms(k, N, L), cats)
     xq = _times_x(q)
     terms = [(1, 1, _times_x(q * q)), (-1, 0, q), (1, 0, (1,))]
-    for j in range(1, k + 1):
-        c = catalan(j - 1)
+    for j, c in enumerate(catalans(k - 1), 1):
         terms += [(-c, j, xq), (c, j, q)]
     if any(linear_combination(N, terms).z):
         raise ArithmeticError("recurrence failed to satisfy its quadratic")

@@ -23,7 +23,7 @@ from qmmp132 import (
     rational_series,
 )
 from qmmp132.dist_engine import clear_recursion_memo, q_series_recursive
-from qmmp132 import dist_engine, gf_formulas, mmp_stat, poly_series
+from qmmp132 import dist_engine, gf_formulas, mmp_stat, perm_core, poly_series
 from qmmp132.gf_formulas import block_series, clear_gf_cache
 from qmmp132.mmp_stat import swap_b_d
 from qmmp132.poly_series import TSeries, solve_q00k0
@@ -161,6 +161,38 @@ def test_block_series_carries_sound_bounds(pat, order):
         assert max(map(abs, cs), default=0) <= sum(map(abs, cs)) <= n1, n
         assert poly_series._width(n1) <= s.L, n
         assert min(cs) >= 0 and sum(cs) == catalan(n), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(0, 4)] * 4), st.integers(0, 30))
+@example((4, 4, 4, 4), 30)
+@example((0, 4, 4, 4), 30)  # a = 0, d >= 1: the tail at r = 0 is divided out
+@example((0, 4, 4, 0), 30)  # a = d = 0: the left factor is divided out
+@example((2, 0, 3, 4), 30)  # b = 0: the right factor is divided out
+def test_the_block_identity_bounds_hold(pat, order):
+    """The bounds `block_series` gives its product and its division, checked
+    on the series themselves, rebuilt from `dispatch` and read back at a
+    width of their own: the factors of M and the quotient Q - S are
+    nonnegative with |.|_1 <= C_n at t^n, so |M_n|_1 <= C_{n+1}."""
+    a, b, c, d = choose_route(pat, order).pattern
+    cats = perm_core.catalans(order + 1)
+
+    def minus(q, s):  # Q - S as a generic difference, with its own bounds
+        return q - TSeries(order, s)
+
+    def norms(s):
+        assert all(min(p.coeffs, default=0) >= 0 for p in s.coeffs)
+        return [sum(p.coeffs) for p in s.coeffs]
+
+    s_b, s_d = cats[: max(b - 1, 0)], cats[:d]
+    left = minus(dispatch((max(a - 1, 0), b, c, 0), order), s_b)
+    right = minus(dispatch((a, 0, c, d), order), s_d)
+    assert all(m <= cats[n] for n, m in enumerate(norms(left)))
+    assert all(m <= cats[n] for n, m in enumerate(norms(right)))
+    assert all(m <= cats[n + 1] for n, m in enumerate(norms(left * right)))
+    if a + b and (a == 0 or b == 0):  # block_series divides: Q - S is its quotient
+        quotient = minus(dispatch((a, b, c, d), order), s_b if a == 0 else s_d)
+        assert all(m <= cats[n] for n, m in enumerate(norms(quotient)))
 
 
 def test_block_series_runs_at_one_width(monkeypatch):
@@ -468,7 +500,7 @@ def test_a_corrupted_limb_trips_the_dispatch_sum_check(monkeypatch):
     good = gf_formulas._block_series
 
     def corrupted(pattern, order):
-        return good(pattern, order) + TSeries.t_power(order, order, XPoly((0, 1)))
+        return good(pattern, order) + TSeries(order, (0,) * order + (XPoly((0, 1)),))
 
     clear_gf_cache()
     monkeypatch.setattr(gf_formulas, "_block_series", corrupted)
@@ -497,6 +529,31 @@ def test_a_cold_dispatch_keeps_its_series_packed(monkeypatch):
     assert calls == []
     clear_gf_cache()
     assert out == q_series_recursive((3, 3, 3, 3), 30)
+
+
+def test_each_block_division_runs_one_substitution(monkeypatch):
+    # the division takes its bound from the identity, so no majorant pass
+    # runs beside the forward substitution
+    calls = {"_inverse_terms": 0, "reciprocal": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def run(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, run)
+
+    counted(poly_series, "_inverse_terms")
+    counted(TSeries, "reciprocal")
+    clear_gf_cache()
+    try:
+        dispatch((3, 3, 3, 3), 30)
+    finally:
+        clear_gf_cache()
+    assert calls["reciprocal"] > 10
+    assert calls["_inverse_terms"] == calls["reciprocal"]
 
 
 def test_dispatch_checks_each_pattern_once(monkeypatch):

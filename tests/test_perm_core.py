@@ -25,6 +25,7 @@ from qmmp132 import (
 from qmmp132.perm_core import (
     all_perms,
     avoiders_after_also_avoiding,
+    catalans,
     count_avoiders,
     is_permutation,
     parse_digits,
@@ -52,6 +53,16 @@ def test_catalan_rejects_negative():
     for n in (-1, -5, 2.5, 3.0, True, False, "3", None):
         with pytest.raises(ValueError, match="length must be a nonnegative int, got"):
             catalan(n)
+
+
+def test_catalans_is_the_table_prefix():
+    assert catalans(10) == tuple(CATALAN_FROZEN)
+    assert catalans(0) == (1,)
+    # past the stored table the numbers are computed, not stored
+    assert catalans(1030)[1025:] == tuple(map(catalan, range(1025, 1031)))
+    for n in (-1, 2.5, True, "3", None):
+        with pytest.raises(ValueError, match="length must be a nonnegative int, got"):
+            catalans(n)
 
 
 def test_is_permutation():

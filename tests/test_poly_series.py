@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmmp132 import TSeries, XPoly, catalan, catalan_series, catalan_xt_series
+from qmmp132.perm_core import catalans
 from qmmp132.poly_series import (
-    ZERO,
     OrderMismatchError,
+    _floor,
     _pack,
     _unpack,
     _width,
-    catalan_partial_sum,
     linear_combination,
     rational_series,
     solve_q00k0,
@@ -149,9 +149,9 @@ def test_tseries_order_mismatch():
         TSeries.one(3) * TSeries.one(4)
 
 
-def test_tseries_t_power():
-    assert TSeries.t_power(2, 4, 7).int_coeffs() == [0, 0, 7, 0, 0]
-    assert TSeries.t_power(5, 3).int_coeffs() == [0, 0, 0, 0]  # beyond order
+def test_a_shift_beyond_the_order_falls_off():
+    assert linear_combination(4, [(7, 2, (1,))]).int_coeffs() == [0, 0, 7, 0, 0]
+    assert linear_combination(3, [(7, 5, (1,))]).int_coeffs() == [0, 0, 0, 0]
 
 
 def test_tseries_subs_x_and_int_coeffs():
@@ -327,7 +327,7 @@ def _apply(op, u, v, c, k):
     if op == "neg":
         return linear_combination(N, [(-1, 0, s)]), [-p for p in a]
     if op == "shift":
-        return linear_combination(N, [(1, k, s)]), ([ZERO] * k + a)[: N + 1]
+        return linear_combination(N, [(1, k, s)]), ([XPoly()] * k + a)[: N + 1]
     if op == "scale":
         return linear_combination(N, [(c, 0, s)]), [p.scale(c) for p in a]
     if op == "mul":
@@ -336,7 +336,7 @@ def _apply(op, u, v, c, k):
         # c t^k u + v - t (1, 2, ..., N + 1): a series, shifted and scaled,
         # plus one unshifted and an x-free int sequence
         ints = list(range(1, N + 2))
-        ref = [ZERO] * k + [p.scale(c) for p in a]
+        ref = [XPoly()] * k + [p.scale(c) for p in a]
         ref = [p + q - XPoly((m,)) for p, q, m in zip(ref, b, [0] + ints)]
         return linear_combination(N, [(c, k, s), (1, 0, t), (-1, 1, ints)]), ref
     w = [XPoly((1,))] + a[:N]  # 1 + t*u: an invertible constant term
@@ -406,16 +406,21 @@ def test_catalan_xt_satisfies_quadratic():
     # C(xt) = 1 + xt * C(xt)^2
     N = 8
     s = catalan_xt_series(N)
-    xt = TSeries.t_power(1, N, XPoly((0, 1)))
+    xt = TSeries(N, (0, XPoly((0, 1))))
     assert TSeries.one(N) + xt * s * s == s
 
 
-def test_catalan_partial_sum():
-    assert catalan_partial_sum(-1, 3).int_coeffs() == [0, 0, 0, 0]
-    assert catalan_partial_sum(0, 3).int_coeffs() == [1, 0, 0, 0]
-    assert catalan_partial_sum(2, 4).int_coeffs() == [1, 1, 2, 0, 0]
-    # j_max above the order just gives the full Catalan prefix
-    assert catalan_partial_sum(9, 3).int_coeffs() == [1, 1, 2, 5]
+def test_catalan_partial_sums_as_int_terms():
+    # S_j, the partial sums block_series subtracts, are x-free int terms:
+    # slices of one Catalan tuple, empty for j < 0
+    def s(j, N):
+        return linear_combination(N, [(1, 0, catalans(9)[: j + 1])])
+
+    assert s(-1, 3).int_coeffs() == [0, 0, 0, 0]
+    assert s(0, 3).int_coeffs() == [1, 0, 0, 0]
+    assert s(2, 4).int_coeffs() == [1, 1, 2, 0, 0]
+    # j above the order just gives the full Catalan prefix
+    assert s(9, 3).int_coeffs() == [1, 1, 2, 5]
 
 
 def test_rational_series_known_expansions():
@@ -426,14 +431,22 @@ def test_rational_series_known_expansions():
     assert rational_series([1], [1, -2, 1], 5).int_coeffs() == [1, 2, 3, 4, 5, 6]
 
 
+def test_a_division_without_a_given_bound_derives_its_width():
+    # 5^40 needs 95 bits, more than W_40 = 78: the majorant sets the width
+    s = rational_series((1,), (1, -5), 40)
+    assert _floor(40) == 78
+    assert s.L == 95
+    assert s.int_coeffs() == [5**n for n in range(41)]
+
+
 def test_solve_q00k0_satisfies_its_quadratic():
     N = 10
     one = TSeries.one(N)
-    tx = TSeries.t_power(1, N, XPoly((0, 1)))
-    tx_minus_t = TSeries.t_power(1, N, XPoly((-1, 1)))
+    tx = TSeries(N, (0, XPoly((0, 1))))
+    tx_minus_t = TSeries(N, (0, XPoly((-1, 1))))
     for k in (1, 2, 3):
         q = solve_q00k0(k, N)
-        s_k = catalan_partial_sum(k - 1, N)
+        s_k = TSeries(N, catalans(k - 1))
         residual = tx * q * q - (one + tx_minus_t * s_k) * q + one
         assert all(c.is_zero() for c in residual.coeffs)
         # total count identity: x = 1 collapses to the Catalan series
