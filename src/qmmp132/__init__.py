@@ -36,7 +36,6 @@ from .poly_series import (
     XPoly,
     catalan_series,
     catalan_xt_series,
-    rational_series,
     solve_q00k0,
 )
 from .dist_engine import (
@@ -78,7 +77,6 @@ __all__ = [
     "XPoly",
     "catalan_series",
     "catalan_xt_series",
-    "rational_series",
     "solve_q00k0",
     "q_poly_bruteforce",
     "q_poly_recursive",

@@ -18,11 +18,11 @@ coefficients, and so on each coefficient.  Every operation carries the
 bound forward, and a width of bit_length(bound) + 2 holds a coefficient:
 
 * `linear_combination`, sum c t^k u over any number of terms (c an int,
-  u a series or an x-free int sequence), and with it sum and difference:
-  the bounds of all terms are summed first, by the triangle inequality,
-  which fixes one width, L = max(W_N, width(largest bound), every term's
-  width); then each term is read once at L and added into one packed
-  list, with no intermediate series;
+  u a series or an x-free int sequence): the bounds of all terms are
+  summed first, by the triangle inequality, which fixes one width,
+  L = max(W_N, width(largest bound), every term's width); then each term
+  is read once at L and added into one packed list, with no
+  intermediate series;
 * product u*v: one big-integer dot product per output coefficient, with
   |(uv)_n|_1 <= sum_i |u_i|_1 |v_{n-i}|_1;
 * division v/u (`reciprocal`; 1/u without v), u_0 = +-1, by forward
@@ -30,11 +30,12 @@ bound forward, and a width of bit_length(bound) + 2 holds a coefficient:
   |w_n|_1 <= r_n = |v_n|_1 + sum_{k>=1} |u_k|_1 r_{n-k};
 * solve_q00k0: no majorant; it runs at W_N, and the bound of its t^n
   coefficient is C_n, since that coefficient's entries are counts
-  summing to C_n (see there).
+  summing to C_n, so the bound of its square is C_{n+1} (see there).
 
 A caller that has proved a bound passes it to the product or the division,
-which then skips its own O(N^2) pass on bounds: `block_series` passes
-count bounds, C_{n+1} for its product and C_n for its quotient (see there).
+which then skips its own O(N^2) pass on bounds.  Every caller in the
+package does: `block_series` passes count bounds, C_{n+1} for its product
+and C_n for its quotient, and `solve_q00k0` C_{n+1} for Q^2 (see there).
 
 A series is repacked only when a bound no longer fits its width.  Every
 series of order N starts at no less than W_N = width(C_{N+2}): over
@@ -77,7 +78,7 @@ class OrderMismatchError(ValueError):
 
 
 class XPoly:
-    """Immutable dense polynomial in x over the integers."""
+    """Immutable dense polynomial in x over the integers: how a Q_n(x) is read."""
 
     __slots__ = ("coeffs",)
 
@@ -90,22 +91,10 @@ class XPoly:
     def __setattr__(self, name, value):
         raise AttributeError("XPoly is immutable")
 
-    @classmethod
-    def const(cls, c: int) -> "XPoly":
-        return cls((c,))
-
-    @classmethod
-    def x_power(cls, r: int, c: int = 1) -> "XPoly":
-        """c * x^r"""
-        return cls((0,) * r + (c,))
-
     @property
     def degree(self) -> int:
         """Degree in x; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def coeff(self, r: int) -> int:
         """Coefficient of x^r (0 above the degree)."""
@@ -125,26 +114,6 @@ class XPoly:
         for r, c in enumerate(b):
             out[r] += c
         return XPoly(out)
-
-    def __neg__(self) -> "XPoly":
-        return XPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other: "XPoly") -> "XPoly":
-        a, b = self.coeffs, other.coeffs
-        out = list(a)
-        out.extend([0] * (len(b) - len(a)))
-        for r, c in enumerate(b):
-            out[r] -= c
-        return XPoly(out)
-
-    def __mul__(self, other: "XPoly") -> "XPoly":
-        """One big-integer product; every output coefficient is at most
-        |self|_1 * |other|_inf."""
-        L = _width(sum(map(abs, self.coeffs)) * max(map(abs, other.coeffs), default=0))
-        return _unpack(_pack(self.coeffs, L) * _pack(other.coeffs, L), L)
-
-    def scale(self, c: int) -> "XPoly":
-        return XPoly(c * v for v in self.coeffs)
 
     def eval_at(self, x: int) -> int:
         """Exact integer evaluation (Horner)."""
@@ -345,12 +314,6 @@ class TSeries:
             z if -h <= z < h else _pack(_unpack(z, self.L).coeffs, L) for z in self.z
         )
 
-    def __add__(self, other: "TSeries") -> "TSeries":
-        return linear_combination(self.order, ((1, 0, self), (1, 0, other)))
-
-    def __sub__(self, other: "TSeries") -> "TSeries":
-        return linear_combination(self.order, ((1, 0, self), (-1, 0, other)))
-
     def __mul__(self, other: "TSeries", n1: Sequence[int] | None = None) -> "TSeries":
         """Product through the packed kernel: one big-integer dot product
         per output coefficient.  ``n1`` bounds the product's norms when the
@@ -383,17 +346,6 @@ class TSeries:
         L = max(self.L, num.L, _width(max(n1)))
         v = num._at(L) if u0 == 1 else map(neg, num._at(L))
         return _series(self.order, L, _inverse_terms(self._at(L), v, -u0), n1)
-
-    def subs_x(self, x: int) -> "TSeries":
-        """Evaluate every coefficient at an integer x."""
-        return _int_series(self.order, [a.eval_at(x) for a in self.coeffs])
-
-    def int_coeffs(self) -> list[int]:
-        """Constant-in-x view; requires every coefficient constant."""
-        for n, a in enumerate(self.coeffs):
-            if a.degree > 0:
-                raise ValueError(f"t^{n} coefficient is not constant in x")
-        return [a.coeff(0) for a in self.coeffs]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TSeries) or self.order != other.order:
@@ -458,11 +410,6 @@ def catalan_xt_series(N: int) -> TSeries:
     return _series(N, L, (c << n * L for n, c in enumerate(cats)), cats)
 
 
-def rational_series(num: Sequence[int], den: Sequence[int], N: int) -> TSeries:
-    """Expand num(t)/den(t) to order N; den must have constant term +-1."""
-    return _int_series(N, den).reciprocal(_int_series(N, num))
-
-
 def _times_x(s: TSeries) -> TSeries:
     """x * s: every limb moves up one place, and the bounds stay."""
     return _series(s.order, s.L, (z << s.L for z in s.z), s.n1)
@@ -485,9 +432,10 @@ def solve_q00k0(k: int, N: int) -> TSeries:
     * packed arithmetic is exact: p -> p(2^L) is a ring map, so the
       recurrence run at x = 2^L yields z_n = Q_n(2^L) at any L;
     * so the residual check below, t*x*Q^2 - Q + 1 - sum_{j=1}^{k}
-      C_{j-1} t^j (x*Q - Q) computed as one product and one
-      `linear_combination`, is exact at any width too, and a zero
-      residual shows only that the recurrence code matches the quadratic;
+      C_{j-1} t^j (x*Q - Q) computed as one product, with the bound
+      sum_i C_i C_{n-i} = C_{n+1}, and one `linear_combination`, is
+      exact at any width too, and a zero residual shows only that the
+      recurrence code matches the quadratic;
     * the width matters only for reading z_n back.  Q_n's coefficients
       are counts that sum to C_n: at x = 1 the quadratic is Catalan's,
       t*Q^2 - Q + 1 = 0.  `TSeries.distribution` already rests on this
@@ -502,7 +450,8 @@ def solve_q00k0(k: int, N: int) -> TSeries:
     cats = catalans(N)
     q = _series(N, L, _q00k0_terms(k, N, L), cats)
     xq = _times_x(q)
-    terms = [(1, 1, _times_x(q * q)), (-1, 0, q), (1, 0, (1,))]
+    qq = q.__mul__(q, catalans(N + 1)[1:])
+    terms = [(1, 1, _times_x(qq)), (-1, 0, q), (1, 0, (1,))]
     for j, c in enumerate(catalans(k - 1), 1):
         terms += [(-c, j, xq), (c, j, q)]
     if any(linear_combination(N, terms).z):

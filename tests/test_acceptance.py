@@ -24,7 +24,6 @@ from qmmp132 import (
     mmp_count,
     q_poly_bruteforce,
     q_poly_recursive,
-    rational_series,
 )
 from qmmp132.dist_engine import (
     avoiders_array,
@@ -34,7 +33,7 @@ from qmmp132.dist_engine import (
 )
 from qmmp132.gf_formulas import clear_gf_cache
 from qmmp132.mmp_stat import quadrant_counts, swap_b_d
-from qmmp132.poly_series import XPoly
+from qmmp132.poly_series import TSeries
 
 # the twelve reference expansions and the order each must reach
 REQUIRED_REFERENCE_ORDERS = {
@@ -101,12 +100,10 @@ def test_criterion_3_x0_closed_forms():
     for n in range(1, 21):
         want = 1 if n == 1 else (n - 1) * 2 ** (n - 2) + 1
         assert q_poly_recursive(n, (0, 1, 1, 1)).coeff(0) == want, n
-    den = XPoly((1, -1)) * XPoly((1, -2)) * XPoly((1, -2)) * XPoly((1, -2))
-    rational = rational_series([1, -6, 13, -11, 3, -2, 1], list(den.coeffs), 20)
-    engine_col = q_series_recursive((1, 1, 1, 1), 20).subs_x(0)
-    formula_col = dispatch((1, 1, 1, 1), 20).subs_x(0)
-    assert engine_col.int_coeffs() == rational.int_coeffs()
-    assert formula_col.int_coeffs() == rational.int_coeffs()
+    den = TSeries(20, [1, -7, 18, -20, 8])  # (1 - t)(1 - 2t)^3
+    rational = den.reciprocal(TSeries(20, [1, -6, 13, -11, 3, -2, 1]))
+    for s in (q_series_recursive((1, 1, 1, 1), 20), dispatch((1, 1, 1, 1), 20)):
+        assert TSeries(20, [p.coeff(0) for p in s.coeffs]) == rational
     print(
         "ACCEPTANCE 3: PASS -- (1,1,0,1) and (0,1,1,1) zero-match counts to "
         "n = 20; (1,1,1,1) zero-match series matches its rational form to t^20"

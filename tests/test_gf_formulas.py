@@ -20,13 +20,12 @@ from qmmp132 import (
     q_poly_bruteforce,
     q_poly_gf,
     q_poly_recursive,
-    rational_series,
 )
 from qmmp132.dist_engine import clear_recursion_memo, q_series_recursive
 from qmmp132 import dist_engine, gf_formulas, mmp_stat, perm_core, poly_series
 from qmmp132.gf_formulas import block_series, clear_gf_cache
 from qmmp132.mmp_stat import swap_b_d
-from qmmp132.poly_series import TSeries, solve_q00k0
+from qmmp132.poly_series import TSeries, linear_combination, solve_q00k0
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +177,7 @@ def test_the_block_identity_bounds_hold(pat, order):
     cats = perm_core.catalans(order + 1)
 
     def minus(q, s):  # Q - S as a generic difference, with its own bounds
-        return q - TSeries(order, s)
+        return linear_combination(order, [(1, 0, q), (-1, 0, s)])
 
     def norms(s):
         assert all(min(p.coeffs, default=0) >= 0 for p in s.coeffs)
@@ -294,7 +293,7 @@ def test_every_route_starts_at_one_and_sums_to_catalan():
     for pat in representatives:
         s = dispatch(pat, 8)
         assert s.coeff(0) == XPoly((1,))
-        assert s.subs_x(1).int_coeffs() == [catalan(n) for n in range(9)]
+        assert [p.eval_at(1) for p in s.coeffs] == [catalan(n) for n in range(9)]
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +316,7 @@ def test_frozen_coefficients():
 def test_all_zero_pattern_is_catalan_in_xt():
     s = dispatch((0, 0, 0, 0), 6)
     for n in range(7):
-        assert s.coeff(n) == XPoly.x_power(n, catalan(n))
+        assert s.coeff(n) == XPoly((0,) * n + (catalan(n),))
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +327,16 @@ def test_all_zero_pattern_is_catalan_in_xt():
 # before being frozen here.
 
 
-def _poly(*cs) -> XPoly:
-    return XPoly(cs)
-
-
-def _expand(*factors: XPoly) -> list[int]:
-    out = _poly(1)
+def _expand(*factors: tuple[int, ...]) -> list[int]:
+    """The product of polynomials in t given as coefficient tuples."""
+    out = [1]
     for f in factors:
-        out = out * f
-    return list(out.coeffs)
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
 
 
 X0_RATIONAL_FORMS = [
@@ -347,23 +347,23 @@ X0_RATIONAL_FORMS = [
     ((3, 0, 1, 0), [1, -3, 1], [1, -4, 3]),
     ((1, 0, 2, 0), [1, -1, -1], [1, -2, -1]),
     ((2, 0, 2, 0), [1, -2, -1], [1, -3, 0, 1]),
-    ((1, 0, 0, 1), [1, -1, 1], _expand(_poly(1, -1), _poly(1, -1))),
-    ((0, 1, 0, 1), [1, -2, 2], _expand(*[_poly(1, -1)] * 3)),
-    ((1, 1, 0, 1), [1, -2, 2, 1], _expand(*[_poly(1, -1)] * 3)),
-    ((1, 1, 1, 0), [1, -3, 2, 1], _expand(_poly(1, -2), _poly(1, -2))),
+    ((1, 0, 0, 1), [1, -1, 1], _expand((1, -1), (1, -1))),
+    ((0, 1, 0, 1), [1, -2, 2], _expand(*[(1, -1)] * 3)),
+    ((1, 1, 0, 1), [1, -2, 2, 1], _expand(*[(1, -1)] * 3)),
+    ((1, 1, 1, 0), [1, -3, 2, 1], _expand((1, -2), (1, -2))),
     ((2, 1, 1, 0), [1, -4, 4, 0, 1], [1, -5, 7, -2]),
     ((3, 1, 1, 0), [1, -5, 7, -2, 0, 1], [1, -6, 11, -6]),
-    ((1, 1, 2, 0), [1, -3, 0, 3, 3, 1], _expand(*[_poly(1, -2, -1)] * 2)),
+    ((1, 1, 2, 0), [1, -3, 0, 3, 3, 1], _expand(*[(1, -2, -1)] * 2)),
     (
         (2, 1, 2, 0),
         [1, -4, 2, 4, 1, 2, 1],
-        _expand(_poly(1, -2, -1), _poly(1, -3, 0, 1)),
+        _expand((1, -2, -1), (1, -3, 0, 1)),
     ),
-    ((0, 1, 1, 1), [1, -4, 5, -1], _expand(_poly(1, -2), _poly(1, -2), _poly(1, -1))),
+    ((0, 1, 1, 1), [1, -4, 5, -1], _expand((1, -2), (1, -2), (1, -1))),
     (
         (1, 1, 1, 1),
         [1, -6, 13, -11, 3, -2, 1],
-        _expand(_poly(1, -1), *[_poly(1, -2)] * 3),
+        _expand((1, -1), *[(1, -2)] * 3),
     ),
 ]
 
@@ -371,15 +371,17 @@ X0_RATIONAL_FORMS = [
 @pytest.mark.parametrize("pat,num,den", X0_RATIONAL_FORMS, ids=lambda v: str(v))
 def test_x0_rational_forms(pat, num, den):
     N = 14
-    want = rational_series(num, den, N).int_coeffs()
-    assert dispatch(pat, N).subs_x(0).int_coeffs() == want
+    rational = TSeries(N, den).reciprocal(TSeries(N, num))
+    assert TSeries(N, [p.coeff(0) for p in dispatch(pat, N).coeffs]) == rational
 
 
 def test_match_free_counts_for_late_saturating_patterns():
     # (1,0,0,1) at x = 0 counts 1, 1, 2, 3, 4, ... (arithmetic from n = 2)
-    assert dispatch((1, 0, 0, 1), 8).subs_x(0).int_coeffs() == [1, 1, 2, 3, 4, 5, 6, 7, 8]
+    s = dispatch((1, 0, 0, 1), 8)
+    assert [p.coeff(0) for p in s.coeffs] == [1, 1, 2, 3, 4, 5, 6, 7, 8]
     # (0,1,0,1) grows quadratically: 1 + (n-1)(n-2)... cross-checked above
-    assert dispatch((0, 1, 0, 1), 8).subs_x(0).int_coeffs() == [1, 1, 2, 4, 7, 11, 16, 22, 29]
+    s = dispatch((0, 1, 0, 1), 8)
+    assert [p.coeff(0) for p in s.coeffs] == [1, 1, 2, 4, 7, 11, 16, 22, 29]
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +435,7 @@ def test_bounds_summing_to_the_order_give_the_catalan_series():
             assert dispatch(pat, order) == q_series_recursive(pat, order), (pat, order)
     clear_gf_cache()
     series = dispatch((400, 0, 0, 0), 400)
-    assert series.int_coeffs() == [catalan(n) for n in range(401)]
+    assert series == TSeries(400, [catalan(n) for n in range(401)])
 
 
 def _assert_one_series_per_canonical_pattern(canonical):
@@ -500,7 +502,8 @@ def test_a_corrupted_limb_trips_the_dispatch_sum_check(monkeypatch):
     good = gf_formulas._block_series
 
     def corrupted(pattern, order):
-        return good(pattern, order) + TSeries(order, (0,) * order + (XPoly((0, 1)),))
+        x_t_n = TSeries(order, (0,) * order + (XPoly((0, 1)),))
+        return linear_combination(order, [(1, 0, good(pattern, order)), (1, 0, x_t_n)])
 
     clear_gf_cache()
     monkeypatch.setattr(gf_formulas, "_block_series", corrupted)
