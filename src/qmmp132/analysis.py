@@ -430,9 +430,14 @@ def classical_equivalence_check(
             f"classical avoidance scan capped at n={CLASSICAL_SCAN_CAP}; "
             f"asked for {n_max}"
         )
-    pats = tuple(
-        reduce_word(p if isinstance(p, tuple) else parse_perm(p)) for p in forbidden
-    )
+    pats = []
+    for p in forbidden:
+        if isinstance(p, str):
+            p = parse_perm(p)
+        elif not isinstance(p, tuple):
+            raise ValueError(f"forbidden pattern must be a tuple or string, got {p!r}")
+        pats.append(reduce_word(p))
+    pats = tuple(pats)
     has_132 = (1, 3, 2) in pats
     rows = []
     for n in range(1, n_max + 1):

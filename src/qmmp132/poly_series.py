@@ -25,8 +25,8 @@ bound forward, and a width of bit_length(bound) + 2 holds a coefficient:
   intermediate series;
 * product u*v: one big-integer dot product per output coefficient, with
   |(uv)_n|_1 <= sum_i |u_i|_1 |v_{n-i}|_1;
-* division v/u (`reciprocal`; 1/u without v), u_0 = +-1, by forward
-  substitution w_n = u_0 (v_n - sum_{k>=1} u_k w_{n-k}), with
+* division v/u (`reciprocal`), u_0 = 1, by forward substitution
+  w_n = v_n - sum_{k>=1} u_k w_{n-k}, with
   |w_n|_1 <= r_n = |v_n|_1 + sum_{k>=1} |u_k|_1 r_{n-k};
 * solve_q00k0: no majorant; it runs at W_N, and the bound of its t^n
   coefficient is C_n, since that coefficient's entries are counts
@@ -36,6 +36,8 @@ A caller that has proved a bound passes it to the product or the division,
 which then skips its own O(N^2) pass on bounds.  Every caller in the
 package does: `block_series` passes count bounds, C_{n+1} for its product
 and C_n for its quotient, and `solve_q00k0` C_{n+1} for Q^2 (see there).
+The derived bounds (convolution, majorant) stay as the reference that
+the tests hold the proven bounds to.
 
 A series is repacked only when a bound no longer fits its width.  Every
 series of order N starts at no less than W_N = width(C_{N+2}): over
@@ -46,8 +48,8 @@ W_N only decides where packing starts; correctness rests on the bounds.
 `TSeries.distribution`, which `dispatch` applies to each result, checks
 z mod (2^L - 1) = p(1) mod (2^L - 1) against C_n, resets the bound of
 t^n to C_n (the coefficients are counts) and moves the series to W_N.
-Unpacking happens only on read: `coeffs` (once), `coeff(n)`, printing,
-hashing, and equality across widths.  t and x are never packed
+Unpacking happens on each read, with no cache: `coeffs`, `coeff(n)`,
+printing, hashing, equality across widths.  t and x are never packed
 together: one integer for both measured about 30x slower.
 
 Textual forms follow the house style of the series being modeled:
@@ -67,7 +69,7 @@ XPoly((0, 0, 0, 5))
 
 from __future__ import annotations
 
-from operator import add, mul, neg
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .perm_core import catalan, catalans, checked_length
@@ -192,9 +194,9 @@ def _width(bound: int) -> int:
 def _inverse_terms(u: Sequence[int], num: Iterable[int], sign: int) -> list[int]:
     """w_n = num_n + sign * sum_{k>=1} u_k w_{n-k}, for each num_n.
 
-    With packed u (u_0 = +-1 = 1/u_0), num_n = u_0 v_n and sign = -u_0
-    this is v/u packed; with every term replaced by its 1-norm and
-    sign = 1 it is the majorant r_n of v/u.
+    With packed u (u_0 = 1), num_n = v_n and sign = -1 this is v/u
+    packed; with every term replaced by its 1-norm and sign = 1 it is
+    the majorant r_n of v/u.  u_0 is never read.
     """
     w: list[int] = []
     for n, c in enumerate(num):
@@ -238,15 +240,7 @@ def _series(order: int, L: int, z, n1) -> "TSeries":
     _set(s, "L", L)
     _set(s, "z", tuple(z))
     _set(s, "n1", n1)
-    _set(s, "_xp", None)
     return s
-
-
-def _int_series(order: int, cs: Sequence[int]) -> "TSeries":
-    """Series with x-free coefficients cs (an int packs to itself)."""
-    cs = (tuple(cs) + (0,) * (order + 1))[: order + 1]
-    bound = tuple(map(abs, cs))
-    return _series(order, max(_floor(order), _width(max(bound))), cs, bound)
 
 
 class TSeries:
@@ -256,7 +250,7 @@ class TSeries:
     ``n1[n]`` bounds its 1-norm.
     """
 
-    __slots__ = ("order", "L", "z", "n1", "_xp")
+    __slots__ = ("order", "L", "z", "n1")
 
     def __init__(self, order: int, coeffs: Sequence = ()):
         checked_length(order)
@@ -267,15 +261,11 @@ class TSeries:
         n1 = tuple(sum(map(abs, c)) for c in cs)
         L = max(_floor(order), _width(max(n1)))
         z = tuple(_pack(c, L) for c in cs)
-        for name, v in zip(self.__slots__, (order, L, z, n1, None)):
+        for name, v in zip(self.__slots__, (order, L, z, n1)):
             object.__setattr__(self, name, v)
 
     def __setattr__(self, name, value):
         raise AttributeError("TSeries is immutable")
-
-    @classmethod
-    def one(cls, order: int) -> "TSeries":
-        return _int_series(order, (1,))
 
     def distribution(self) -> "TSeries":
         """This series at width W_N, each t^n coefficient known to be counts
@@ -289,30 +279,24 @@ class TSeries:
 
     @property
     def coeffs(self) -> tuple[XPoly, ...]:
-        """The XPoly coefficients, unpacked on first read."""
-        if self._xp is None:
-            object.__setattr__(self, "_xp", tuple(_unpack(z, self.L) for z in self.z))
-        return self._xp
+        """The XPoly coefficients, unpacked on each read."""
+        return tuple(_unpack(z, self.L) for z in self.z)
 
     def coeff(self, n: int) -> XPoly:
         """XPoly coefficient of t^n."""
         if not 0 <= n <= self.order:
             raise ValueError(f"t-exponent {n} outside 0..{self.order}")
-        return self._xp[n] if self._xp is not None else _unpack(self.z[n], self.L)
+        return _unpack(self.z[n], self.L)
 
     def _check(self, other: "TSeries") -> None:
         if self.order != other.order:
             raise OrderMismatchError(f"orders differ: {self.order} vs {other.order}")
 
     def _at(self, L: int) -> tuple[int, ...]:
-        """The packing at width L, which must hold the coefficients.  A value
-        in [-2^(self.L-1), 2^(self.L-1)) is a constant, the same at any width."""
+        """The packing at width L, which must hold the coefficients."""
         if L == self.L:
             return self.z
-        h = 1 << (self.L - 1)
-        return tuple(
-            z if -h <= z < h else _pack(_unpack(z, self.L).coeffs, L) for z in self.z
-        )
+        return tuple(_pack(_unpack(z, self.L).coeffs, L) for z in self.z)
 
     def __mul__(self, other: "TSeries", n1: Sequence[int] | None = None) -> "TSeries":
         """Product through the packed kernel: one big-integer dot product
@@ -328,24 +312,18 @@ class TSeries:
         z = [sum(map(mul, A, B[N - n :])) for n in range(N + 1)]
         return _series(N, L, z, n1)
 
-    def reciprocal(
-        self, num: "TSeries | None" = None, n1: Sequence[int] | None = None
-    ) -> "TSeries":
-        """num / self by forward substitution, 1 / self without num; the
-        constant term of self must be exactly 1 or -1.  ``n1`` bounds the
-        quotient's norms when the caller has proved a bound; without it
-        they are the majorant of num / self."""
-        u0 = self.z[0]  # +1 or -1, self-inverse
-        if u0 != 1 and u0 != -1:
-            raise ValueError("reciprocal needs constant term +1 or -1")
-        if num is None:
-            num = TSeries.one(self.order)
+    def reciprocal(self, num: "TSeries", n1: Sequence[int] | None = None) -> "TSeries":
+        """num / self by forward substitution; the constant term of self
+        must be exactly 1, as it is for the package's one divisor, 1 - t*lam.
+        ``n1`` bounds the quotient's norms when the caller has proved a
+        bound; without it they are the majorant of num / self."""
+        if self.z[0] != 1:
+            raise ValueError("reciprocal needs constant term 1")
         self._check(num)
         if n1 is None:
             n1 = tuple(_inverse_terms(self.n1, num.n1, 1))
         L = max(self.L, num.L, _width(max(n1)))
-        v = num._at(L) if u0 == 1 else map(neg, num._at(L))
-        return _series(self.order, L, _inverse_terms(self._at(L), v, -u0), n1)
+        return _series(self.order, L, _inverse_terms(self._at(L), num._at(L), -1), n1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TSeries) or self.order != other.order:
@@ -400,13 +378,14 @@ def linear_combination(order: int, terms: Iterable[tuple]) -> TSeries:
 
 def catalan_series(N: int) -> TSeries:
     """C(t) = sum C_n t^n truncated at t^N."""
-    return _int_series(N, catalans(N))
+    cats = catalans(N)
+    return _series(N, _floor(N), cats, cats)
 
 
 def catalan_xt_series(N: int) -> TSeries:
     """C(xt): coefficient of t^n is C_n x^n, packed as C_n 2^(nL)."""
     cats = catalans(N)
-    L = max(_floor(N), _width(cats[-1]))
+    L = _floor(N)
     return _series(N, L, (c << n * L for n, c in enumerate(cats)), cats)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from qmmp132 import (
@@ -18,7 +20,7 @@ from qmmp132 import (
     q_poly_recursive,
     top_coeff_report,
 )
-from qmmp132 import dist_engine, gf_formulas
+from qmmp132 import analysis, dist_engine, gf_formulas
 from qmmp132.analysis import ClosedFormCheck, SequenceExport
 from qmmp132.dist_engine import q_series_recursive
 
@@ -199,6 +201,16 @@ def test_equivalence_without_132_scans_everything():
 def test_equivalence_negative_example_rows():
     report = classical_equivalence_check((0, 0, 0, 0), [], 3)
     assert report.rows == ((1, 0, 1), (2, 0, 2), (3, 0, 6))
+
+
+def test_equivalence_rejects_a_forbidden_entry_of_another_type(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(analysis, "q_poly_recursive", no_rows)
+    for entry in ([1, 2, 3], 123):
+        with pytest.raises(ValueError, match=re.escape(repr(entry))):
+            classical_equivalence_check((1, 1, 0, 1), [(1, 3, 2), entry], 4)
 
 
 def test_equivalence_scan_cap():

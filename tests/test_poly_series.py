@@ -131,9 +131,9 @@ def test_tseries_str_format():
 
 def test_tseries_order_mismatch():
     with pytest.raises(OrderMismatchError):
-        linear_combination(3, [(1, 0, TSeries.one(3)), (1, 0, TSeries.one(4))])
+        linear_combination(3, [(1, 0, TSeries(3, [1])), (1, 0, TSeries(4, [1]))])
     with pytest.raises(OrderMismatchError):
-        TSeries.one(3) * TSeries.one(4)
+        TSeries(3, [1]) * TSeries(4, [1])
 
 
 def test_a_shift_beyond_the_order_falls_off():
@@ -150,15 +150,12 @@ def test_tseries_known_product():
 
 def test_tseries_reciprocal_known():
     # 1/(1 - t) = 1 + t + t^2 + ...
-    geo = TSeries(5, [1, -1]).reciprocal()
+    geo = TSeries(5, [1, -1]).reciprocal(TSeries(5, [1]))
     assert geo == TSeries(5, [1] * 6)
-    # constant term -1 is allowed
-    neg = TSeries(3, [-1, 1]).reciprocal()
-    assert (TSeries(3, [-1, 1]) * neg) == TSeries.one(3)
-    with pytest.raises(ValueError):
-        TSeries(3, [2]).reciprocal()
-    with pytest.raises(ValueError):
-        TSeries(3, [0, 1]).reciprocal()
+    # the constant term must be exactly 1, so -1 is refused as well
+    for den in ([2], [0, 1], [-1, 1]):
+        with pytest.raises(ValueError):
+            TSeries(3, den).reciprocal(TSeries(3, [1]))
 
 
 @settings(max_examples=100)
@@ -172,7 +169,7 @@ def test_tseries_ring_axioms(u, v, w):
     assert (u * v) * w == u * (v * w)
     assert u * add(v, w) == add(u * v, u * w)
     assert add(u, TSeries(5)) == u
-    assert u * TSeries.one(5) == u
+    assert u * TSeries(5, [1]) == u
 
 
 @settings(max_examples=100)
@@ -180,7 +177,8 @@ def test_tseries_ring_axioms(u, v, w):
 def test_tseries_reciprocal_is_exact_inverse(u):
     # force an invertible constant term
     v = TSeries(5, (XPoly((1,)),) + u.coeffs[1:])
-    assert v * v.reciprocal() == TSeries.one(5)
+    one = TSeries(5, [1])
+    assert v * v.reciprocal(one) == one
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +188,9 @@ def test_tseries_reciprocal_is_exact_inverse(u):
 def schoolbook_mul(u: TSeries, v: TSeries) -> TSeries:
     N = u.order
     out = [[] for _ in range(N + 1)]
+    vs = v.coeffs
     for i, a in enumerate(u.coeffs):
-        for j, b in enumerate(v.coeffs[: N + 1 - i]):
+        for j, b in enumerate(vs[: N + 1 - i]):
             acc = out[i + j]
             for r, ca in enumerate(a.coeffs):
                 for s, cb in enumerate(b.coeffs):
@@ -201,15 +200,16 @@ def schoolbook_mul(u: TSeries, v: TSeries) -> TSeries:
 
 
 def schoolbook_reciprocal(u: TSeries) -> TSeries:
-    u0 = u.coeffs[0].coeffs[0]
-    inv = [[u0]]
+    """1/u for u_0 = 1."""
+    cs = u.coeffs
+    inv = [[1]]
     for n in range(1, u.order + 1):
         acc: list[int] = []
         for k in range(1, n + 1):
-            for r, ca in enumerate(u.coeffs[k].coeffs):
+            for r, ca in enumerate(cs[k].coeffs):
                 for s, cb in enumerate(inv[n - k]):
                     acc.extend([0] * (r + s + 1 - len(acc)))
-                    acc[r + s] -= u0 * ca * cb
+                    acc[r + s] -= ca * cb
         inv.append(acc)
     return TSeries(u.order, [XPoly(c) for c in inv])
 
@@ -226,9 +226,8 @@ def test_packed_mul_and_reciprocal_match_schoolbook(data):
     u = data.draw(series_strategy(order, big_xpolys))
     v = data.draw(series_strategy(order, big_xpolys))
     assert u * v == schoolbook_mul(u, v)
-    unit = XPoly((data.draw(st.sampled_from((1, -1))),))
-    w = TSeries(order, (unit,) + u.coeffs[1:])
-    assert w.reciprocal() == schoolbook_reciprocal(w)
+    w = TSeries(order, (1,) + u.coeffs[1:])
+    assert w.reciprocal(TSeries(order, [1])) == schoolbook_reciprocal(w)
 
 
 @settings(max_examples=100, deadline=None)
@@ -237,25 +236,23 @@ def test_packed_division_matches_schoolbook(data):
     order = data.draw(st.integers(0, 12))
     num = data.draw(series_strategy(order, big_xpolys))
     u = data.draw(series_strategy(order, big_xpolys))
-    unit = XPoly((data.draw(st.sampled_from((1, -1))),))
-    den = TSeries(order, (unit,) + u.coeffs[1:])
+    den = TSeries(order, (1,) + u.coeffs[1:])
     assert den.reciprocal(num) == schoolbook_mul(num, schoolbook_reciprocal(den))
 
 
 def test_division_at_a_power_of_two_majorant():
-    # num = v x^2, den = u0 + c t with |v| = 2^190 and |c| = 2: the majorant
+    # num = v x^2, den = 1 + c t with |v| = 2^190 and |c| = 2: the majorant
     # r_n = 2^(190+n) is a power of two, and every |w_n| meets it
     N = 12
-    for u0 in (1, -1):
-        for c in (2, -2):
-            for v in (2**190, -(2**190)):
-                den, num = TSeries(N, [u0, c]), TSeries(N, [XPoly((0, 0, v))])
-                w = den.reciprocal(num)
-                assert w.n1 == tuple(2 ** (190 + n) for n in range(N + 1))
-                assert w.L == _width(2 ** (190 + N))
-                expected = (XPoly((0, 0, v * u0 * (-c * u0) ** n)) for n in range(N + 1))
-                assert w.coeffs == tuple(expected)
-                assert w == schoolbook_mul(num, schoolbook_reciprocal(den))
+    for c in (2, -2):
+        for v in (2**190, -(2**190)):
+            den, num = TSeries(N, [1, c]), TSeries(N, [XPoly((0, 0, v))])
+            w = den.reciprocal(num)
+            assert w.n1 == tuple(2 ** (190 + n) for n in range(N + 1))
+            assert w.L == _width(2 ** (190 + N))
+            expected = (XPoly((0, 0, v * (-c) ** n)) for n in range(N + 1))
+            assert w.coeffs == tuple(expected)
+            assert w == schoolbook_mul(num, schoolbook_reciprocal(den))
     with pytest.raises(OrderMismatchError):
         TSeries(3, [1, 1]).reciprocal(TSeries(4, [1]))
 
@@ -325,7 +322,8 @@ def _apply(op, u, v, c, k):
         return linear_combination(N, [(c, k, s), (1, 0, t), (-1, 1, ints)]), ref
     w = [XPoly((1,))] + a[:N]  # 1 + t*u: an invertible constant term
     inv = schoolbook_reciprocal(TSeries(N, w)).coeffs
-    return linear_combination(N, [(1, 0, (1,)), (1, 1, s)]).reciprocal(), list(inv)
+    den = linear_combination(N, [(1, 0, (1,)), (1, 1, s)])
+    return den.reciprocal(TSeries(N, [1])), list(inv)
 
 
 @settings(max_examples=60, deadline=None)
