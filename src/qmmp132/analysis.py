@@ -30,9 +30,11 @@ their inputs.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 from math import comb
-from typing import Callable, Iterable, Sequence
 
 from .dist_engine import _check_length, q_poly_bruteforce, q_poly_recursive
 from .gf_formulas import dispatch
@@ -170,15 +172,17 @@ class ClosedFormCheck:
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
     n_checked: tuple[int, ...]
     failure: tuple[int, str, str] | None = None  # (n, expected, got)
 
+    @property
+    def passed(self) -> bool:
+        return self.failure is None
+
     def line(self) -> str:
         if self.passed:
-            lo = self.n_checked[0] if self.n_checked else None
-            hi = self.n_checked[-1] if self.n_checked else None
-            span = f"n={lo}..{hi}" if self.n_checked else "no n in range"
+            ns = self.n_checked
+            span = f"n={ns[0]}..{ns[-1]}" if ns else "no n in range"
             return f"PASS {self.name} ({span})"
         n, expected, got = self.failure
         return f"FAIL {self.name} at n={n}: expected {expected}, got {got}"
@@ -200,25 +204,16 @@ class CheckReport:
 
 
 def _run_check(check: ClosedFormCheck, n_max: int) -> CheckResult:
-    checked = []
     for n in range(check.validity, n_max + 1):
         q = q_poly_recursive(n, check.pattern)
         r = check.selector(n)
-        expected = check.formula(n)
-        got = q.coeff(r)
-        if check.is_top and q.degree != r:
-            return CheckResult(
-                check.name,
-                False,
-                tuple(checked),
-                (n, f"degree {r}", f"degree {q.degree}"),
-            )
+        expected, got = check.formula(n), q.coeff(r)
+        if check.is_top and q.degree != r:  # x^r is not the top power
+            expected, got = f"degree {r}", f"degree {q.degree}"
         if got != expected:
-            return CheckResult(
-                check.name, False, tuple(checked), (n, str(expected), str(got))
-            )
-        checked.append(n)
-    return CheckResult(check.name, True, tuple(checked))
+            failure = (n, str(expected), str(got))
+            return CheckResult(check.name, tuple(range(check.validity, n)), failure)
+    return CheckResult(check.name, tuple(range(check.validity, n_max + 1)))
 
 
 def check_closed_forms(
@@ -256,63 +251,57 @@ def default_registry() -> tuple[ClosedFormCheck, ...]:
     form stated alongside the source expansions contradicts the
     expansions themselves (and both independent engines); the registry
     encodes the value the verified series force.
+
+    Each check's ``validity`` is its first length: n = shift + 1 for a
+    check of x^(n - shift), where that exponent is 1, and n = 1 for a
+    check of x^0.
     """
     C = catalan
     reg: list[ClosedFormCheck] = []
 
-    def add(name, pattern, shift, fn, validity, note=""):
-        """The coefficient of x^(n - shift); a "-top" check claims the top one."""
-        reg.append(
-            ClosedFormCheck(
-                name,
-                pattern,
-                selector=lambda n, s=shift: n - s,
-                formula=fn,
-                validity=validity,
-                is_top=name.endswith("-top"),
-                note=note,
-            )
-        )
+    def add(name, pattern, shift, fn, note=""):
+        """The coefficient of x^(n - shift), or of x^0 if shift is None."""
+        selector = (lambda n: 0) if shift is None else (lambda n: n - shift)
+        validity = 1 if shift is None else shift + 1
+        is_top = name.endswith("-top")
+        reg.append(ClosedFormCheck(name, pattern, selector, fn, validity, is_top, note))
 
     # --- patterns bounding quadrants I, II, III -------------------------
     for m in (1, 2, 3):
-        add(f"11{m}0-top", (1, 1, m, 0), 2 + m, lambda n, m=m: 2 * C(m), 3 + m)
-    add("1110-second", (1, 1, 1, 0), 4, lambda n: 6 + 2 * comb(n - 2, 2), 5)
+        add(f"11{m}0-top", (1, 1, m, 0), 2 + m, lambda n, m=m: 2 * C(m))
+    add("1110-second", (1, 1, 1, 0), 4, lambda n: 6 + 2 * comb(n - 2, 2))
     for m in (2, 3):
         add(
             f"11{m}0-second",
             (1, 1, m, 0),
             3 + m,
             lambda n, m=m: 2 * C(m + 1) + 8 * C(m) + 4 * C(m) * (n - 4 - m),
-            4 + m,
         )
     for m in (1, 2):
-        add(f"21{m}0-top", (2, 1, m, 0), 3 + m, lambda n, m=m: 3 * C(m), 4 + m)
+        add(f"21{m}0-top", (2, 1, m, 0), 3 + m, lambda n, m=m: 3 * C(m))
     for m in (1, 2, 3):
-        add(f"12{m}0-top", (1, 2, m, 0), 3 + m, lambda n, m=m: 5 * C(m), 4 + m)
+        add(f"12{m}0-top", (1, 2, m, 0), 3 + m, lambda n, m=m: 5 * C(m))
     for m in (1, 2):
-        add(f"22{m}0-top", (2, 2, m, 0), 4 + m, lambda n, m=m: 9 * C(m), 5 + m)
+        add(f"22{m}0-top", (2, 2, m, 0), 4 + m, lambda n, m=m: 9 * C(m))
 
     # --- patterns bounding quadrants II, III, IV ------------------------
     for el in (1, 2, 3):
-        add(f"01{el}1-top", (0, 1, el, 1), 2 + el, lambda n, el=el: C(el), 3 + el)
-    add("0111-second", (0, 1, 1, 1), 4, lambda n: 5 + comb(n - 2, 2), 5)
+        add(f"01{el}1-top", (0, 1, el, 1), 2 + el, lambda n, el=el: C(el))
+    add("0111-second", (0, 1, 1, 1), 4, lambda n: 5 + comb(n - 2, 2))
     for el in (2, 3):
         add(
             f"01{el}1-second",
             (0, 1, el, 1),
             3 + el,
             lambda n, el=el: C(el + 1) + 6 * C(el) + 2 * C(el) * (n - 4 - el),
-            4 + el,
         )
     for el in (1, 2, 3):
-        add(f"01{el}2-top", (0, 1, el, 2), 3 + el, lambda n, el=el: 2 * C(el), 4 + el)
+        add(f"01{el}2-top", (0, 1, el, 2), 3 + el, lambda n, el=el: 2 * C(el))
     add(
         "0112-second",
         (0, 1, 1, 2),
         5,
         lambda n: 13 + 2 * comb(n - 3, 2),
-        6,
         note="series-validated correction: stated forms 13+binom(n-2,2) and "
         "13+2*binom(n-3,2) disagree between statement and proof; the "
         "expansions force 13+2*binom(n-3,2)",
@@ -323,7 +312,6 @@ def default_registry() -> tuple[ClosedFormCheck, ...]:
             (0, 1, el, 2),
             4 + el,
             lambda n, el=el: 2 * C(el + 1) + 15 * C(el) + 4 * C(el) * (n - 5 - el),
-            5 + el,
         )
     for el in (1, 2, 3):
         add(
@@ -331,7 +319,6 @@ def default_registry() -> tuple[ClosedFormCheck, ...]:
             (0, 2, el, 2),
             4 + el,
             lambda n, el=el: 4 * C(el),
-            5 + el,
             note="series-validated exponent n-4-el (a stated variant shifts it)",
         )
 
@@ -342,51 +329,37 @@ def default_registry() -> tuple[ClosedFormCheck, ...]:
             (1, el, 0, 1),
             2 + el,
             lambda n, el=el: 2 * C(el + 1) * C(n - el - 2),
-            3 + el,
             note="series-validated correction: the stated constant 4*C(el) "
             "equals the true constant 2*C(el+1) only at el=1",
         )
-    add("1101-second", (1, 1, 0, 1), 4, lambda n: 8 * C(n - 3) + C(n - 4), 5)
+    add("1101-second", (1, 1, 0, 1), 4, lambda n: 8 * C(n - 3) + C(n - 4))
     for k in (2, 3):
         add(
             f"{k}101-top",
             (k, 1, 0, 1),
             2 + k,
             lambda n, k=k: (k + 1) ** 2 * C(n - k - 2),
-            3 + k,
         )
 
     # --- patterns bounding all four quadrants ---------------------------
     for k in (1, 2, 3):
-        add(f"{k}111-top", (k, 1, 1, 1), 3 + k, lambda n, k=k: (k + 1) ** 2, 4 + k)
+        add(f"{k}111-top", (k, 1, 1, 1), 3 + k, lambda n, k=k: (k + 1) ** 2)
     add(
         "1111-second",
         (1, 1, 1, 1),
         5,
         lambda n: 17 + 4 * comb(n - 3, 2),
-        6,
         note="series-validated correction: stated binom(n-3,3); expansions "
         "force binom(n-3,2)",
     )
 
     # --- x = 0 closed forms ----------------------------------------------
-    reg.append(
-        ClosedFormCheck(
-            "1101-x0",
-            (1, 1, 0, 1),
-            selector=lambda n: 0,
-            formula=lambda n: (n - 1) ** 2 + 1,
-            validity=1,
-        )
-    )
-    reg.append(
-        ClosedFormCheck(
-            "0111-x0",
-            (0, 1, 1, 1),
-            selector=lambda n: 0,
-            formula=lambda n: 1 if n == 1 else (n - 1) * 2 ** (n - 2) + 1,
-            validity=1,
-        )
+    add("1101-x0", (1, 1, 0, 1), None, lambda n: (n - 1) ** 2 + 1)
+    add(
+        "0111-x0",
+        (0, 1, 1, 1),
+        None,
+        lambda n: 1 if n == 1 else (n - 1) * 2 ** (n - 2) + 1,
     )
     return tuple(reg)
 
@@ -430,6 +403,10 @@ def classical_equivalence_check(
             f"classical avoidance scan capped at n={CLASSICAL_SCAN_CAP}; "
             f"asked for {n_max}"
         )
+    if isinstance(forbidden, str) or not isinstance(forbidden, Iterable):
+        raise ValueError(
+            f"forbidden must be a collection of patterns, got {forbidden!r}"
+        )
     pats = []
     for p in forbidden:
         if isinstance(p, str):
@@ -438,22 +415,21 @@ def classical_equivalence_check(
             raise ValueError(f"forbidden pattern must be a tuple or string, got {p!r}")
         pats.append(reduce_word(p))
     pats = tuple(pats)
-    has_132 = (1, 3, 2) in pats
-    rows = []
-    for n in range(1, n_max + 1):
-        lhs = q_poly_recursive(n, pattern).coeff(0)
-        if has_132:
-            extras = tuple(p for p in pats if p != (1, 3, 2))
-            rhs = avoiders_after_also_avoiding(n, extras)
-        else:
-            rhs = sum(
-                1
-                for s in all_perms(n)
-                if not any(contains_classical(s, p) for p in pats)
-            )
-        rows.append((n, lhs, rhs))
+    if (1, 3, 2) in pats:  # scan only S_n(132), for the other patterns
+        extras = tuple(p for p in pats if p != (1, 3, 2))
+        count = partial(avoiders_after_also_avoiding, extra_patterns=extras)
+    else:
+
+        def count(n):
+            perms = all_perms(n)
+            return sum(not any(contains_classical(s, p) for p in pats) for s in perms)
+
+    rows = tuple(
+        (n, q_poly_recursive(n, pattern).coeff(0), count(n))
+        for n in range(1, n_max + 1)
+    )
     a, b, c, d = pattern
-    return EquivalenceReport((a, b, c, d), pats, tuple(rows))
+    return EquivalenceReport((a, b, c, d), pats, rows)
 
 
 @dataclass(frozen=True)
@@ -484,12 +460,12 @@ class XvalReport:
         return f"{head}\nFAIL [{kind}] pattern={pat} n={n}: {detail}"
 
 
-def _natural_patterns(entry_bound: int):
-    for a in range(entry_bound + 1):
-        for b in range(entry_bound + 1 - a):
-            for c in range(entry_bound + 1 - a - b):
-                for d in range(entry_bound + 1 - a - b - c):
-                    yield (a, b, c, d)
+# the detail text of a failed comparison, from (got, want)
+_XVAL_DETAIL = {
+    "brute-vs-recursion": "brute {} vs recursion {}",
+    "reflection-symmetry": "{} vs reflected {}",
+    "recursion-vs-dispatch": "dispatch {} vs recursion {}",
+}
 
 
 def cross_validate(
@@ -523,38 +499,27 @@ def cross_validate(
         )
     check_enumeration(n_max)
     _check_length(order)
-    patterns = 0
-    comparisons = 0
-    for pat in _natural_patterns(entry_bound):
-        patterns += 1
+
+    def pairs(pat):
+        """(kind, n, got, want) in call order, each engine called when reached."""
         for n in range(n_max + 1):
             b = brute_fn(n, pat)
             r = rec_fn(n, pat)
-            comparisons += 1
-            if b != r:
-                return XvalReport(
-                    entry_bound, n_max, order, patterns, comparisons,
-                    ("brute-vs-recursion", pat, n, f"brute {b} vs recursion {r}"),
-                )
-            rs = rec_fn(n, swap_b_d(pat))
-            comparisons += 1
-            if r != rs:
-                return XvalReport(
-                    entry_bound, n_max, order, patterns, comparisons,
-                    ("reflection-symmetry", pat, n, f"{r} vs reflected {rs}"),
-                )
+            yield "brute-vs-recursion", n, b, r
+            yield "reflection-symmetry", n, r, rec_fn(n, swap_b_d(pat))
         gf = dispatch_fn(pat, order)
         for n in range(order + 1):
-            want = rec_fn(n, pat)
+            yield "recursion-vs-dispatch", n, gf.coeff(n), rec_fn(n, pat)
+
+    patterns = comparisons = 0
+    box = product(range(entry_bound + 1), repeat=4)
+    for pat in (p for p in box if sum(p) <= entry_bound):
+        patterns += 1
+        for kind, n, got, want in pairs(pat):
             comparisons += 1
-            if gf.coeff(n) != want:
+            if got != want:
+                failure = (kind, pat, n, _XVAL_DETAIL[kind].format(got, want))
                 return XvalReport(
-                    entry_bound, n_max, order, patterns, comparisons,
-                    (
-                        "recursion-vs-dispatch",
-                        pat,
-                        n,
-                        f"dispatch {gf.coeff(n)} vs recursion {want}",
-                    ),
+                    entry_bound, n_max, order, patterns, comparisons, failure
                 )
     return XvalReport(entry_bound, n_max, order, patterns, comparisons)

@@ -153,11 +153,6 @@ def _gen(n: int) -> Iterator[Perm]:
                 yield tuple(v + shift for v in left) + (n,) + right
 
 
-def count_avoiders(n: int) -> int:
-    """Stream length of gen_avoiders(n); equals catalan(n)."""
-    return sum(1 for _ in gen_avoiders(n))
-
-
 def contains_classical(p: Sequence[int], pat: Sequence[int]) -> bool:
     """True when some subsequence of p is order-isomorphic to pat.
 

@@ -93,6 +93,11 @@ def test_default_registry_shape():
         assert expected in names
     # exactly the series-validated corrections carry explanatory notes
     assert sum(1 for c in reg if c.note) == 8
+    # a check of x^(n - shift) starts at n = shift + 1, where the exponent
+    # is 1; a check of x^0 starts at n = 1
+    for c in reg:
+        x0 = c.name.endswith("-x0")
+        assert c.validity == 1 if x0 else c.selector(c.validity) == 1, c.name
 
 
 def test_registry_passes_to_moderate_lengths():
@@ -213,6 +218,22 @@ def test_equivalence_rejects_a_forbidden_entry_of_another_type(monkeypatch):
             classical_equivalence_check((1, 1, 0, 1), [(1, 3, 2), entry], 4)
 
 
+def test_equivalence_rejects_a_forbidden_argument_that_is_not_a_collection(
+    monkeypatch,
+):
+    def no_rows(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(analysis, "q_poly_recursive", no_rows)
+    # a bare string is not read one character at a time
+    for forbidden in ("132", "1", None, 132):
+        with pytest.raises(ValueError) as info:
+            classical_equivalence_check((1, 1, 0, 1), forbidden, 4)
+        assert str(info.value) == (
+            f"forbidden must be a collection of patterns, got {forbidden!r}"
+        )
+
+
 def test_equivalence_scan_cap():
     with pytest.raises(ResourceLimitError, match=r"capped at n=10; asked for 11$"):
         classical_equivalence_check((1, 1, 1, 0), [(1, 3, 2)], 11)
@@ -246,6 +267,9 @@ def test_cross_validate_catches_corrupt_recursion():
     assert kind == "reflection-symmetry"
     assert pat == (0, 0, 0, 1)
     assert n == 1
+    assert detail == "1 vs reflected x"
+    # (0,0,0,0): 2 per length n = 0..4, then 5 orders; (0,0,0,1): 2 at n = 0 and 1
+    assert report.comparisons == 19
     assert "FAIL" in str(report)
 
 
@@ -258,9 +282,12 @@ def test_cross_validate_catches_corrupt_bruteforce():
 
     report = cross_validate(1, 4, 4, brute_fn=brute_off_by_one)
     assert not report.passed
-    kind, pat, n, _ = report.failure
+    kind, pat, n, detail = report.failure
     assert kind == "brute-vs-recursion"
     assert (pat, n) == ((0, 0, 1, 0), 3)
+    assert detail == "brute 2+3x+x^2 vs recursion 1+3x+x^2"
+    # 15 for each of (0,0,0,0) and (0,0,0,1), then 2 per length n = 0..2 and 1
+    assert report.comparisons == 37
 
 
 def test_cross_validate_catches_corrupt_dispatch():
@@ -270,10 +297,13 @@ def test_cross_validate_catches_corrupt_dispatch():
 
     report = cross_validate(1, 3, 3, dispatch_fn=dispatch_ignoring_d)
     assert not report.passed
-    kind, pat, n, _ = report.failure
+    kind, pat, n, detail = report.failure
     assert kind == "recursion-vs-dispatch"
     assert pat == (0, 0, 0, 1)
     assert n == 1  # Q_1 is 1 for (0,0,0,1) but x for the corrupted (0,0,0,0)
+    assert detail == "dispatch x vs recursion 1"
+    # 12 for (0,0,0,0), then 8 for the lengths of (0,0,0,1) and 2 orders
+    assert report.comparisons == 22
 
 
 def test_cross_validate_is_deterministic():
