@@ -32,8 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from functools import partial
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
 from .dist_engine import _check_length, q_poly_bruteforce, q_poly_recursive
@@ -42,11 +41,10 @@ from .mmp_stat import natural_pattern, swap_b_d
 from .perm_core import (
     ResourceLimitError,
     _is_count,
-    all_perms,
-    avoiders_after_also_avoiding,
     catalan,
     check_enumeration,
     contains_classical,
+    gen_avoiders,
     parse_digits,
     parse_perm,
     reduce_word,
@@ -416,16 +414,15 @@ def classical_equivalence_check(
         pats.append(reduce_word(p))
     pats = tuple(pats)
     if (1, 3, 2) in pats:  # scan only S_n(132), for the other patterns
-        extras = tuple(p for p in pats if p != (1, 3, 2))
-        count = partial(avoiders_after_also_avoiding, extra_patterns=extras)
+        scan, tests = gen_avoiders, tuple(p for p in pats if p != (1, 3, 2))
     else:
-
-        def count(n):
-            perms = all_perms(n)
-            return sum(not any(contains_classical(s, p) for p in pats) for s in perms)
-
+        scan, tests = lambda n: permutations(range(1, n + 1)), pats
     rows = tuple(
-        (n, q_poly_recursive(n, pattern).coeff(0), count(n))
+        (
+            n,
+            q_poly_recursive(n, pattern).coeff(0),
+            sum(not any(contains_classical(s, p) for p in tests) for s in scan(n)),
+        )
         for n in range(1, n_max + 1)
     )
     a, b, c, d = pattern

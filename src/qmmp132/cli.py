@@ -29,7 +29,7 @@ from .analysis import (
 )
 from .dist_engine import q_poly_bruteforce, q_poly_recursive, q_series_recursive
 from .gf_formulas import dispatch, q_poly_gf
-from .mmp_stat import mmp_count, parse_pattern
+from .mmp_stat import format_pattern, mmp_count, parse_pattern
 from .perm_core import ResourceLimitError, parse_perm
 
 __all__ = ["main"]
@@ -48,6 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poly", help="one distribution polynomial Q_n(x)")
+    p.set_defaults(run=_cmd_poly)
     p.add_argument("--pattern", required=True, help="bounds a,b,c,d")
     p.add_argument("--n", type=int, required=True, help="permutation length")
     p.add_argument(
@@ -58,6 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     s = sub.add_parser("series", help="truncated generating series")
+    s.set_defaults(run=_cmd_series)
     s.add_argument("--pattern", required=True, help="bounds a,b,c,d")
     s.add_argument(
         "--order", type=int, default=DEFAULT_TRUNCATION, help="truncation order"
@@ -70,12 +72,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     st = sub.add_parser("stat", help="match count on one permutation")
+    st.set_defaults(run=_cmd_stat)
     st.add_argument("--perm", required=True, help="permutation, e.g. 471569283")
     st.add_argument(
         "--pattern", required=True, help="bounds a,b,c,d; e marks an empty quadrant"
     )
 
     q = sub.add_parser("seq", help="integer sequence export")
+    q.set_defaults(run=_cmd_seq)
     q.add_argument("--pattern", required=True, help="bounds a,b,c,d")
     q.add_argument(
         "--transform",
@@ -88,10 +92,12 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--format", choices=("plain", "csv"), default="plain")
 
     c = sub.add_parser("check", help="run the closed-form registry")
+    c.set_defaults(run=_cmd_check)
     c.add_argument("--only", help="run a single named check")
     c.add_argument("--n-max", type=int, default=25, help="largest length checked")
 
     x = sub.add_parser("xval", help="cross-validate the three engines")
+    x.set_defaults(run=_cmd_xval)
     x.add_argument(
         "--entry-bound", type=int, required=True, help="max of a+b+c+d"
     )
@@ -135,7 +141,7 @@ def _cmd_seq(args) -> int:
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["n", "pattern", "transform", "value"])
-        patstr = ",".join(str(v) for v in exp.pattern)
+        patstr = format_pattern(exp.pattern)
         for n, value in exp.rows():
             writer.writerow([n, patstr, exp.transform, str(value)])
     else:
@@ -161,16 +167,6 @@ def _cmd_xval(args) -> int:
     return 0 if report.passed else 1
 
 
-_HANDLERS = {
-    "poly": _cmd_poly,
-    "series": _cmd_series,
-    "stat": _cmd_stat,
-    "seq": _cmd_seq,
-    "check": _cmd_check,
-    "xval": _cmd_xval,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -179,7 +175,7 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (ResourceLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,9 +18,9 @@ Serialization: length <= 9 permutations read and print as digit strings
 
 from __future__ import annotations
 
-from itertools import combinations, permutations as _all_permutations
+from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
 
@@ -96,17 +96,7 @@ def avoids_132(p: Sequence[int]) -> bool:
     >>> avoids_132((3, 2, 1))
     True
     """
-    n = len(p)
-    min_before = None  # smallest value strictly left of the current position
-    for j in range(n):
-        if min_before is not None and min_before < p[j]:
-            # min_before can play the "1" and p[j] the "3"; any later value
-            # strictly between them completes a 132
-            for k in range(j + 1, n):
-                if min_before < p[k] < p[j]:
-                    return False
-        min_before = p[j] if min_before is None else min(min_before, p[j])
-    return True
+    return not contains_classical(p, (1, 3, 2))
 
 
 def _is_count(value) -> bool:
@@ -156,30 +146,22 @@ def _gen(n: int) -> Iterator[Perm]:
 def contains_classical(p: Sequence[int], pat: Sequence[int]) -> bool:
     """True when some subsequence of p is order-isomorphic to pat.
 
+    Every relation is strict: for each two positions of pat, the entries of
+    p matched to them must rise strictly from the lower value's position to
+    the higher one's, so (1, 1) contains neither (1, 2) nor (2, 1).
+
     >>> contains_classical((4, 7, 1, 5, 6, 9, 2, 8, 3), (1, 3, 2))
     True
     >>> contains_classical((3, 2, 1), (1, 2))
     False
     """
-    m = len(pat)
-    n = len(p)
-    if m == 0:
-        return True
-    if m > n:
-        return False
     target = reduce_word(pat)
-    # order relations the subsequence must reproduce
-    rel = [(s, t, target[s] < target[t]) for s in range(m) for t in range(s + 1, m)]
-
-    def matches(idx: tuple[int, ...]) -> bool:
-        return all((p[idx[s]] < p[idx[t]]) == less for s, t, less in rel)
-
-    return any(matches(idx) for idx in combinations(range(n), m))
-
-
-def all_perms(n: int) -> Iterator[Perm]:
-    """Every permutation of 1..n (full S_n, not just avoiders)."""
-    return _all_permutations(range(1, n + 1))
+    # pat's positions by rising value: each (lower, higher) pair must rise in p
+    rises = list(combinations(sorted(range(len(target)), key=target.__getitem__), 2))
+    return any(
+        all(p[idx[s]] < p[idx[t]] for s, t in rises)
+        for idx in combinations(range(len(p)), len(target))
+    )
 
 
 def inverse(p: Sequence[int]) -> Perm:
@@ -188,6 +170,8 @@ def inverse(p: Sequence[int]) -> Perm:
     >>> inverse((2, 3, 1))
     (3, 1, 2)
     """
+    if not is_permutation(p):
+        raise ValueError(f"inverse needs a rearrangement of 1..{len(p)}, got {p!r}")
     out = [0] * len(p)
     for pos, v in enumerate(p, start=1):
         out[v - 1] = pos
@@ -225,15 +209,3 @@ def format_perm(p: Sequence[int]) -> str:
     if len(p) <= 9:
         return "".join(str(v) for v in p)
     return ",".join(str(v) for v in p)
-
-
-def avoiders_after_also_avoiding(
-    n: int, extra_patterns: Iterable[Sequence[int]]
-) -> int:
-    """Count S_n(132) members that also avoid every pattern in extra_patterns."""
-    pats = [reduce_word(q) for q in extra_patterns]
-    count = 0
-    for p in gen_avoiders(n):
-        if all(not contains_classical(p, q) for q in pats):
-            count += 1
-    return count

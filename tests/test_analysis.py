@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import re
+from itertools import permutations
 
 import pytest
 
+from conftest import oracle_avoids_132, oracle_contains
 from qmmp132 import (
     ResourceLimitError,
     XPoly,
@@ -206,6 +208,22 @@ def test_equivalence_without_132_scans_everything():
 def test_equivalence_negative_example_rows():
     report = classical_equivalence_check((0, 0, 0, 0), [], 3)
     assert report.rows == ((1, 0, 1), (2, 0, 2), (3, 0, 6))
+
+
+def test_equivalence_counts_match_a_direct_scan():
+    # the right-hand column on the 132 fast path, against the oracles
+    for extra in ([], [(3, 1, 2, 4), (4, 1, 2, 3)]):
+        report = classical_equivalence_check((1, 1, 1, 0), [(1, 3, 2), *extra], 6)
+        direct = tuple(
+            sum(
+                1
+                for p in permutations(range(1, n + 1))
+                if oracle_avoids_132(p)
+                and all(not oracle_contains(p, q) for q in extra)
+            )
+            for n in range(1, 7)
+        )
+        assert tuple(rhs for _, _, rhs in report.rows) == direct
 
 
 def test_equivalence_rejects_a_forbidden_entry_of_another_type(monkeypatch):

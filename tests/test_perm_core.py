@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +23,6 @@ from qmmp132 import (
     reduce_word,
 )
 from qmmp132.perm_core import (
-    all_perms,
-    avoiders_after_also_avoiding,
     catalans,
     is_permutation,
     parse_digits,
@@ -123,8 +121,6 @@ def test_gen_avoiders_enforces_cap():
     over = r"^enumeration of S_15\(132\) exceeds cap 14$"
     with pytest.raises(ResourceLimitError, match=over):
         gen_avoiders(DEFAULT_ENUM_CAP + 1)  # raised at the call, not on iteration
-    with pytest.raises(ResourceLimitError, match=over):
-        avoiders_after_also_avoiding(DEFAULT_ENUM_CAP + 1, [(1, 2, 3)])
     gen_avoiders(DEFAULT_ENUM_CAP)  # the limit itself is accepted
     assert sum(1 for _ in gen_avoiders(5)) == 42
 
@@ -160,9 +156,28 @@ def test_avoids_132_consistent_with_contains():
             assert avoids_132(p) == (not contains_classical(p, (1, 3, 2)))
 
 
-def test_all_perms():
-    assert sorted(all_perms(3)) == sorted(permutations((1, 2, 3)))
-    assert list(all_perms(0)) == [()]
+def _order_isomorphic(u, v) -> bool:
+    """The definition: every two positions compare alike in u and in v."""
+    return all(
+        (u[s] > u[t]) - (u[s] < u[t]) == (v[s] > v[t]) - (v[s] < v[t])
+        for s, t in combinations(range(len(u)), 2)
+    )
+
+
+def test_containment_is_strict_on_repeated_values():
+    # a pattern's entries are distinct, so two equal entries of w match no
+    # two of them; conftest's oracle_contains ranks ties by a stable sort, so
+    # the definition is the reference here
+    assert not contains_classical((1, 1), (2, 1))
+    assert not contains_classical((1, 1), (1, 2))
+    assert avoids_132((1, 2, 2)) and not contains_classical((1, 2, 2), (1, 3, 2))
+    pats = [(1, 2), (2, 1), (1, 3, 2), (2, 1, 3), (1, 2, 3)]
+    for n in range(6):
+        for w in product((1, 2, 3), repeat=n):
+            assert avoids_132(w) == (not contains_classical(w, (1, 3, 2))), w
+            for pat in pats:
+                want = any(_order_isomorphic(u, pat) for u in combinations(w, len(pat)))
+                assert contains_classical(w, pat) == want, (w, pat)
 
 
 def test_inverse_example_and_involution():
@@ -171,6 +186,15 @@ def test_inverse_example_and_involution():
         assert inverse(inverse(p)) == p
         q = inverse(p)
         assert all(q[p[i] - 1] == i + 1 for i in range(len(p)))
+
+
+def test_inverse_rejects_a_non_permutation():
+    for bad in ((0, 1), (1, 1), (3,), (1, 3)):
+        with pytest.raises(ValueError) as info:
+            inverse(bad)
+        assert str(info.value) == (
+            f"inverse needs a rearrangement of 1..{len(bad)}, got {bad!r}"
+        )
 
 
 @settings(max_examples=100)
@@ -211,19 +235,3 @@ def test_format_perm_roundtrip():
     long = tuple(range(10, 0, -1))
     assert format_perm(long) == "10,9,8,7,6,5,4,3,2,1"
     assert parse_perm(format_perm(long)) == long
-
-
-def test_avoiders_after_also_avoiding():
-    # forbidding nothing extra leaves all avoiders
-    for n in range(6):
-        assert avoiders_after_also_avoiding(n, []) == catalan(n)
-    # cross-check one nontrivial set against a direct scan
-    extra = [(3, 1, 2, 4), (4, 1, 2, 3)]
-    for n in range(7):
-        direct = sum(
-            1
-            for p in permutations(range(1, n + 1))
-            if oracle_avoids_132(p)
-            and all(not oracle_contains(p, q) for q in extra)
-        )
-        assert avoiders_after_also_avoiding(n, extra) == direct
