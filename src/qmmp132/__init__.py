@@ -44,15 +44,30 @@ from .dist_engine import (
     q_series_recursive,
 )
 from .gf_formulas import Route, choose_route, dispatch, q_poly_gf
-from .analysis import (
-    avoidance_sequence,
-    check_closed_forms,
-    classical_equivalence_check,
-    cross_validate,
-    default_registry,
-    export_sequence,
-    top_coeff_report,
+
+# the names of analysis (sequences, the formula registry, the verification
+# drivers), loaded on first access (PEP 562): a process that only computes
+# polynomials never imports analysis
+_ANALYSIS = frozenset(
+    {
+        "avoidance_sequence",
+        "check_closed_forms",
+        "classical_equivalence_check",
+        "cross_validate",
+        "default_registry",
+        "export_sequence",
+        "top_coeff_report",
+    }
 )
+
+
+def __getattr__(name: str):
+    if name in _ANALYSIS:
+        from . import analysis
+
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DEFAULT_ENUM_CAP",

@@ -35,7 +35,12 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import comb
 
-from .dist_engine import _check_length, q_poly_bruteforce, q_poly_recursive
+from .dist_engine import (
+    _check_length,
+    q_poly_bruteforce,
+    q_poly_recursive,
+    q_series_recursive,
+)
 from .gf_formulas import dispatch
 from .mmp_stat import natural_pattern, swap_b_d
 from .perm_core import (
@@ -69,6 +74,7 @@ __all__ = [
 
 DEFAULT_SEQUENCE_TERMS = 12
 CLASSICAL_SCAN_CAP = 10
+FULL_SCAN_CAP = 8  # all of S_n is scanned when 132 is not forbidden: n! grows
 
 
 def top_coeff_report(pattern, n: int) -> tuple[int, int]:
@@ -123,14 +129,15 @@ def export_sequence(
     """Sequence of one coefficient per length n = 1..n_max, exactly.
 
     The pattern and n_max, then the transform, then n_max against the
-    recursion's limit are checked before any row is filled.
+    recursion's limit are checked before any row is filled; then one
+    recursive series to order n_max gives every length.
     """
     natural_pattern(pattern, n_max)
     value = _transform(transform)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     _check_length(n_max)
-    vals = tuple(value(q_poly_recursive(n, pattern)) for n in range(1, n_max + 1))
+    vals = tuple(map(value, q_series_recursive(pattern, n_max).coeffs[1:]))
     a, b, c, d = pattern
     return SequenceExport((a, b, c, d), transform, 1, vals)
 
@@ -202,8 +209,9 @@ class CheckReport:
 
 
 def _run_check(check: ClosedFormCheck, n_max: int) -> CheckResult:
+    series = q_series_recursive(check.pattern, n_max)  # one fill for every n
     for n in range(check.validity, n_max + 1):
-        q = q_poly_recursive(n, check.pattern)
+        q = series.coeff(n)
         r = check.selector(n)
         expected, got = check.formula(n), q.coeff(r)
         if check.is_top and q.degree != r:  # x^r is not the top power
@@ -390,8 +398,9 @@ def classical_equivalence_check(
     ``forbidden`` is a collection of classical patterns (tuples or
     strings accepted by the permutation parser); the right-hand side
     counts permutations of S_n avoiding every one of them, by direct
-    scan (n_max <= CLASSICAL_SCAN_CAP), with a fast path when 132 itself
-    is forbidden.
+    scan of S_n(132) when 132 itself is forbidden (n_max <=
+    CLASSICAL_SCAN_CAP), else of all of S_n (n_max <= FULL_SCAN_CAP).
+    Both limits are checked before any row is computed.
     """
     natural_pattern(pattern, n_max)
     if n_max < 1:
@@ -415,6 +424,11 @@ def classical_equivalence_check(
     pats = tuple(pats)
     if (1, 3, 2) in pats:  # scan only S_n(132), for the other patterns
         scan, tests = gen_avoiders, tuple(p for p in pats if p != (1, 3, 2))
+    elif n_max > FULL_SCAN_CAP:
+        raise ResourceLimitError(
+            f"classical avoidance scan of all of S_n (132 not forbidden) "
+            f"capped at n={FULL_SCAN_CAP}; asked for {n_max}"
+        )
     else:
         scan, tests = lambda n: permutations(range(1, n + 1)), pats
     rows = tuple(

@@ -17,16 +17,8 @@ failed; 2 — usage error or resource limit.  All output is 7-bit ASCII.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
-from . import analysis
-from .analysis import (
-    DEFAULT_SEQUENCE_TERMS,
-    check_closed_forms,
-    cross_validate,
-    export_sequence,
-)
 from .dist_engine import q_poly_bruteforce, q_poly_recursive, q_series_recursive
 from .gf_formulas import dispatch, q_poly_gf
 from .mmp_stat import format_pattern, mmp_count, parse_pattern
@@ -86,9 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="x0 (zero-match column), x^R (fixed coefficient), or top",
     )
-    q.add_argument(
-        "--n-max", type=int, default=DEFAULT_SEQUENCE_TERMS, help="last length"
-    )
+    # the default, analysis.DEFAULT_SEQUENCE_TERMS, is read when seq runs,
+    # so that building the parser does not import analysis
+    q.add_argument("--n-max", type=int, help="last length")
     q.add_argument("--format", choices=("plain", "csv"), default="plain")
 
     c = sub.add_parser("check", help="run the closed-form registry")
@@ -136,9 +128,14 @@ def _cmd_stat(args) -> int:
 
 
 def _cmd_seq(args) -> int:
+    from .analysis import DEFAULT_SEQUENCE_TERMS, export_sequence
+
     pat = parse_pattern(args.pattern)
-    exp = export_sequence(pat, args.transform, args.n_max)
+    n_max = DEFAULT_SEQUENCE_TERMS if args.n_max is None else args.n_max
+    exp = export_sequence(pat, args.transform, n_max)
     if args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["n", "pattern", "transform", "value"])
         patstr = format_pattern(exp.pattern)
@@ -151,7 +148,9 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    registry = analysis.default_registry()
+    from .analysis import check_closed_forms, default_registry
+
+    registry = default_registry()
     if args.only is not None:
         registry = tuple(c for c in registry if c.name == args.only)
         if not registry:
@@ -162,6 +161,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_xval(args) -> int:
+    from .analysis import cross_validate
+
     report = cross_validate(args.entry_bound, args.n_max, args.order)
     print(report)
     return 0 if report.passed else 1

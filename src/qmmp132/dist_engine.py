@@ -16,10 +16,13 @@ into n-1 sub-blocks, each written from two tables of length at most n-2
 beside the row of n.  That makes 3n-4 blocks for n >= 2, none wider than
 C_{n-2}.  avoiders_array writes them in order into one table, and so
 builds lengths n, n-2, n-4, ...; lengths n <= 11 are cached as that
-table and its q1, and longer lengths are streamed, each block written
-into a fresh array with its q1.  Points are compared for one count
-only: q1, the points right of and above each position, with one C-level
-pass per pair of positions (_q1).
+table, and longer lengths are streamed, each block written into a fresh
+array.  Only these int8 value tables are ever stored.  Points are
+compared for one count only: q1, the points right of and above a
+position, summed into one int8 row per position with one C-level pass
+per pair of positions (_q1_rows).  That row is reused for the next
+position, so no (n, k) q1 array exists, and a cached length recomputes
+q1 on every call.
 The other three counts follow by counting points by value and by
 position: at 0-based position p with value v, n - v points lie above, p
 to the left and n - 1 - p to the right, so
@@ -28,12 +31,12 @@ to the left and n - 1 - p to the right, so
 
 No 132 structure is used in counting, so brute force stays independent
 of the recursion.  Matches are counted one position at a time: each
-nonzero bound is one comparison on that position's row of the block, and
+nonzero bound is one comparison on that position's q1 row or values, and
 the matching permutations gain one in a single uint8 count per
-permutation, which one bincount per block adds into the histogram.  So no
-temporary of the count outgrows one row: C_n entries for a cached length,
-at most C_{n-2} for a streamed one.  Counts stay below 2^63 through the
-enumeration limit, so int64 histogram bins are exact.
+permutation.  The histogram takes one count_nonzero pass per possible
+count, 0 to n, into Python ints, so the counts are never widened.  No
+temporary outgrows one row: C_n entries for a cached length, at most
+C_{n-2} for a streamed one.
 
 The recursion works on the position i of the maximal value n.  In a
 132-avoider, sigma = A n B where A occupies the top i-1 values and B the
@@ -236,12 +239,12 @@ def clear_recursion_memo() -> None:
 # ---------------------------------------------------------------------------
 # brute force
 
-_CACHE_N_MAX = 11  # counts this small are kept; larger ones are streamed per call
-_count_tensors: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+_CACHE_N_MAX = 11  # tables this small are kept; larger ones are streamed per call
+_count_tensors: dict[int, np.ndarray] = {}  # (n, catalan(n)) values, by length
 
 
 def clear_brute_cache() -> None:
-    """Drop cached quadrant counts (cold-start benchmarks)."""
+    """Drop the cached avoider tables (cold-start benchmarks)."""
     _count_tensors.clear()
 
 
@@ -310,57 +313,55 @@ def avoiders_array(n: int) -> np.ndarray:
     return table.T
 
 
-def _q1(values: np.ndarray) -> np.ndarray:
-    """Quadrant-I counts of the (n, k) values array, indexed [position,
-    permutation]: the points right of and above each position, with one
-    C-level pass per pair of positions."""
-    n = values.shape[0]
-    q1 = np.zeros_like(values)
-    for p in range(n):
-        acc = q1[p]
-        for j in range(p + 1, n):
-            acc += values[j] > values[p]
-    return q1
+def _counts_for(n: int) -> Iterable[np.ndarray]:
+    """The values of S_n(132) as (n, k) int8 arrays indexed [position,
+    permutation], block after block.
 
-
-def _counts_for(n: int) -> Iterable[tuple[np.ndarray, np.ndarray]]:
-    """Values and quadrant-I counts of S_n(132) as (values, q1) pairs of
-    (n, k) int8 arrays indexed [position, permutation].
-
-    A length up to _CACHE_N_MAX is cached as one pair: the whole table of
-    avoiders_array and one q1 pass over it, so a warm call makes n passes
-    in all.  A length above it, 12 to 14, comes as the generator
+    A length up to _CACHE_N_MAX is cached as one block, the whole table of
+    avoiders_array.  A length above it, 12 to 14, comes as the generator
     _count_blocks, so a call holds the table of length n - 2 and one block
     at a time, never the whole length.
     """
-    cached = _count_tensors.get(n)
-    if cached is not None:
-        return cached
-    if n > _CACHE_N_MAX:
-        return _count_blocks(n)
-    values = avoiders_array(n).T
-    _count_tensors[n] = [(values, _q1(values))]
-    return _count_tensors[n]
+    table = _count_tensors.get(n)
+    if table is None:
+        if n > _CACHE_N_MAX:
+            return _count_blocks(n)
+        table = _count_tensors[n] = avoiders_array(n).T
+    return (table,)
 
 
-def _count_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(values, q1) of S_n(132) one block of _blocks at a time, each
-    written into a fresh array filled with n, at most catalan(n-2)
-    permutations wide."""
+def _count_blocks(n: int) -> Iterator[np.ndarray]:
+    """The values of S_n(132) one block of _blocks at a time, each written
+    into a fresh array filled with n, at most catalan(n-2) permutations
+    wide."""
     for rows, left, right in _blocks(n):
         values = np.full((n, left.shape[1] * right.shape[1]), n, dtype=np.int8)
         _write_block(values[rows], left, right)
-        yield values, _q1(values)
+        yield values
         del values  # so the caller can free this block before the next
+
+
+def _q1_rows(values: np.ndarray) -> Iterator[np.ndarray]:
+    """Quadrant-I counts of the (n, k) values array, one int8 row per
+    position in order: the points right of and above that position, with
+    one C-level pass per pair of positions.  The one row is reused, so each
+    row yielded is overwritten by the next."""
+    n, k = values.shape
+    one = np.empty(k, dtype=np.int8)
+    for p in range(n):
+        one[...] = 0
+        for j in range(p + 1, n):
+            one += values[j] > values[p]
+        yield one
 
 
 def q_poly_bruteforce(n: int, pat) -> XPoly:
     """Q_n(x) by direct enumeration of S_n(132).
 
-    Block by block (see _counts_for), one pass per position p tests q1[p]
-    and the values at p against the bounds and adds the result into one
-    match count per permutation; the histogram of those counts, summed
-    over the blocks, is Q_n.
+    Block by block (see _counts_for), one pass per position p tests the
+    quadrant-I row of p (see _q1_rows) and the values at p against the
+    bounds and adds the result into one match count per permutation; the
+    histogram of those counts, summed over the blocks, is Q_n.
 
     >>> print(q_poly_bruteforce(5, (0, 1, 1, 1)))
     33+8x+x^2
@@ -371,17 +372,16 @@ def q_poly_bruteforce(n: int, pat) -> XPoly:
     check_enumeration(n)
     if n == 0:
         return ONE
-    hist = np.zeros(n + 1, dtype=np.int64)
+    hist = [0] * (n + 1)
     # at 0-based position p with value v: n - v points lie above, p to the
     # left and n - 1 - p to the right; bounds are clamped to n, and no length
     # that can be enumerated reaches 128, so bounds and counts fit int8
-    for cols, q1 in _counts_for(n):
-        count = np.zeros(q1.shape[1], dtype=np.uint8)
-        for p in range(n):
-            one = q1[p]
+    for values in _counts_for(n):
+        count = np.zeros(values.shape[1], dtype=np.uint8)
+        for p, one in enumerate(_q1_rows(values)):
             ok = one >= a
             if b or c:
-                q2 = (n - cols[p]) - one
+                q2 = (n - values[p]) - one
                 if b:
                     ok &= q2 >= b
                 if c:
@@ -389,6 +389,7 @@ def q_poly_bruteforce(n: int, pat) -> XPoly:
             if d:
                 ok &= (n - 1 - p) - one >= d
             count += ok
-        hist += np.bincount(count, minlength=n + 1)
-        del cols, q1  # a streamed block is freed before the next is built
-    return XPoly(int(h) for h in hist)
+        for m in range(n + 1):  # one pass per count: no wider copy of count
+            hist[m] += int(np.count_nonzero(count == m))
+        del values  # a streamed block is freed before the next is built
+    return XPoly(hist)

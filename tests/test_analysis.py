@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -231,6 +232,7 @@ def test_equivalence_rejects_a_forbidden_entry_of_another_type(monkeypatch):
         raise AssertionError("a row was computed")
 
     monkeypatch.setattr(analysis, "q_poly_recursive", no_rows)
+    monkeypatch.setattr(analysis, "q_series_recursive", no_rows)
     for entry in ([1, 2, 3], 123):
         with pytest.raises(ValueError, match=re.escape(repr(entry))):
             classical_equivalence_check((1, 1, 0, 1), [(1, 3, 2), entry], 4)
@@ -243,6 +245,7 @@ def test_equivalence_rejects_a_forbidden_argument_that_is_not_a_collection(
         raise AssertionError("a row was computed")
 
     monkeypatch.setattr(analysis, "q_poly_recursive", no_rows)
+    monkeypatch.setattr(analysis, "q_series_recursive", no_rows)
     # a bare string is not read one character at a time
     for forbidden in ("132", "1", None, 132):
         with pytest.raises(ValueError) as info:
@@ -258,6 +261,31 @@ def test_equivalence_scan_cap():
     # the limit itself is accepted
     report = classical_equivalence_check((1, 1, 1, 0), [(1, 3, 2)], 10)
     assert len(report.rows) == 10
+
+
+def test_equivalence_full_scan_cap(monkeypatch):
+    """Without 132 among the forbidden patterns all of S_n is scanned, n!
+    permutations, so the limit is lower and is checked before any row."""
+
+    def no_rows(*args):
+        raise AssertionError("a row was computed")
+
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "q_poly_recursive", no_rows)
+        m.setattr(analysis, "q_series_recursive", no_rows)
+        for forbidden in ([(1, 2, 3)], [], ["213", (3, 1, 2)]):
+            with pytest.raises(
+                ResourceLimitError,
+                match=r"^classical avoidance scan of all of S_n \(132 not forbidden\)"
+                r" capped at n=8; asked for 9$",
+            ):
+                classical_equivalence_check((0, 0, 0, 0), forbidden, 9)
+    # the limit itself is accepted (with nothing forbidden, all n! count), and
+    # with 132 forbidden the higher limit holds
+    report = classical_equivalence_check((0, 0, 0, 0), [], 8)
+    assert [rhs for _, _, rhs in report.rows] == [factorial(n) for n in range(1, 9)]
+    report = classical_equivalence_check((0, 0, 0, 0), [(1, 3, 2), (1, 2, 3)], 9)
+    assert len(report.rows) == 9
 
 
 # ---------------------------------------------------------------------------

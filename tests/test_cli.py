@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
-from qmmp132 import catalan, cli, dispatch
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import qmmp132
+from qmmp132 import analysis, catalan, cli, dispatch
 from qmmp132.analysis import ClosedFormCheck, XvalReport
 
 
@@ -255,7 +261,7 @@ def test_check_failure_exits_one(capsys, monkeypatch):
         formula=lambda n: -1,
         validity=1,
     )
-    monkeypatch.setattr(cli.analysis, "default_registry", lambda: (bad,))
+    monkeypatch.setattr(analysis, "default_registry", lambda: (bad,))
     code, out, _ = run(capsys, "check", "--n-max", "5")
     assert code == 1
     assert "FAIL deliberately-wrong" in out
@@ -283,7 +289,7 @@ def test_xval_failure_exits_one(capsys, monkeypatch):
         comparisons=1,
         failure=("brute-vs-recursion", (0, 0, 0, 0), 1, "synthetic"),
     )
-    monkeypatch.setattr(cli, "cross_validate", lambda *a, **k: fake)
+    monkeypatch.setattr(analysis, "cross_validate", lambda *a, **k: fake)
     code, out, _ = run(
         capsys, "xval", "--entry-bound", "1", "--n-max", "2", "--order", "2"
     )
@@ -338,3 +344,50 @@ def test_pattern_bounds_are_ascii_digits(capsys):
     code, out, err = run(capsys, "poly", "--pattern", "\u0661,1,1,1", "--n", "3")
     assert (code, out) == (2, "")
     assert err == "error: bad pattern token '\\u0661' in '\\u0661,1,1,1'\n"
+
+
+# ---------------------------------------------------------------------------
+# what a cold process loads
+
+# a child process: ``python -m qmmp132.cli ARGS``, after which it prints the
+# watched modules (argv[1], comma-separated) that are loaded, to stderr
+_COLD_RUN = """
+import runpy, sys
+watched = sys.argv[1].split(",")
+sys.argv = ["qmmp132"] + sys.argv[2:]
+try:
+    runpy.run_module("qmmp132.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(",".join(m for m in watched if m in sys.modules), file=sys.stderr)
+"""
+
+
+def _loaded_after(watched, *argv):
+    src = str(Path(qmmp132.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_RUN, ",".join(watched), *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, proc.stderr.strip().split(",")
+
+
+def test_a_cold_request_loads_only_what_it_runs():
+    """A request that verifies nothing leaves the verification drivers and
+    csv unloaded; importing the package still loads numpy and the engines."""
+    lazy = ["qmmp132.analysis", "csv"]
+    eager = ["numpy", "qmmp132.dist_engine", "qmmp132.gf_formulas"]
+    for argv, out in [
+        (["stat", "--perm", "471569283", "--pattern", "4,2,e,e"], "1\n"),
+        (["poly", "--pattern", "1,1,1,1", "--n", "6", "--method", "rec"], "99+29x+4x^2\n"),
+    ]:
+        assert _loaded_after(lazy + eager, *argv) == (out, eager), argv
+    # a verifying request loads them when it runs
+    argv = ["seq", "--pattern", "1,1,1,0", "--transform", "x0", "--format", "csv"]
+    out, loaded = _loaded_after(lazy, *argv)
+    assert out.startswith("n,pattern,transform,value\n") and loaded == lazy

@@ -315,7 +315,10 @@ def test_one_count_and_three_identities_give_every_quadrant():
         # n first and n last are split by the position of n - 1
         where = [1] if n == 1 else [1] * (n - 1) + list(range(2, n)) + [n] * (n - 1)
         assert len(blocks) == len(where) == max(3 * n - 4, 1)
-        for i, (values, q1) in zip(where, blocks):
+        for i, values in zip(where, blocks):
+            # one int8 row per position, reused: each is copied before the next
+            q1 = np.array([row.copy() for row in dist_engine._q1_rows(values)])
+            assert q1.dtype == np.int8
             assert values.shape == q1.shape
             assert values.shape[0] == n
             assert values.shape[1] <= catalan(max(n - 2, 0))
@@ -331,13 +334,17 @@ def test_one_count_and_three_identities_give_every_quadrant():
 def test_blocks_joined_in_order_are_the_whole_table():
     for n in range(1, 11):
         blocks = list(dist_engine._count_blocks(n))
-        assert all(a.dtype == np.int8 for block in blocks for a in block)
-        joined = np.concatenate([values for values, _ in blocks], axis=1)
+        assert all(values.dtype == np.int8 for values in blocks)
+        joined = np.concatenate(blocks, axis=1)
         assert (joined == avoiders_array(n).T).all()
         clear_brute_cache()
-        [(values, q1)] = dist_engine._counts_for(n)  # cached: one pair, the whole table
+        [values] = dist_engine._counts_for(n)  # cached: one block, the whole table
         assert (values == joined).all()
-        assert (q1 == np.concatenate([q for _, q in blocks], axis=1)).all()
+        # q1 of the whole table is q1 of each block, joined in order
+        whole = [row.copy() for row in dist_engine._q1_rows(values)]
+        parts = zip(*(dist_engine._q1_rows(block) for block in blocks))
+        for row, part in zip(whole, parts, strict=True):
+            assert (row == np.concatenate(part)).all()
 
 
 def test_every_shorter_table_is_a_column_suffix():
@@ -411,6 +418,21 @@ def test_bruteforce_memory_peak():
         finally:
             tracemalloc.stop()
         assert peak < bound * 2**20, (n, peak)
+
+
+def test_a_streamed_length_holds_only_value_tables():
+    """Brute force stores no quadrant-count table and widens no count: a cold
+    call at n = 13 holds the table of length 11 (0.62 MiB), one block of at
+    most 13 * C_11 bytes (0.73 MiB) and temporaries of one row each."""
+    clear_brute_cache()
+    tracemalloc.start()
+    try:
+        q = q_poly_bruteforce(13, (2, 2, 2, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+    assert q == q_poly_recursive(13, (2, 2, 2, 2))
 
 
 def test_warm_cache_does_not_bypass_the_enumeration_cap(monkeypatch):
