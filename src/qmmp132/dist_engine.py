@@ -38,6 +38,13 @@ count, 0 to n, into Python ints, so the counts are never widened.  No
 temporary outgrows one row: C_n entries for a cached length, at most
 C_{n-2} for a streamed one.
 
+Brute force is the package's one numpy user, and numpy runs only when it
+does.  ``np`` is a lazy module (importlib.util.LazyLoader): importing
+this module enters numpy in sys.modules, and numpy runs on the first
+``np.`` read, inside a brute-force call.  So a process that only computes
+polynomials or series never runs numpy, and nothing at module level may
+read ``np.`` (annotations are strings, by the ``__future__`` import).
+
 The recursion works on the position i of the maximal value n.  In a
 132-avoider, sigma = A n B where A occupies the top i-1 values and B the
 bottom n-i values, and A, B are independent 132-avoiders on their value
@@ -95,14 +102,35 @@ next clear.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from collections.abc import Iterable, Iterator
 from operator import mul
-
-import numpy as np
+from types import ModuleType
 
 from .mmp_stat import natural_pattern
 from .perm_core import ResourceLimitError, catalan, check_enumeration, checked_length
 from .poly_series import ONE, TSeries, XPoly, _pack, _unpack, _width
+
+
+def _lazy_import(name: str) -> ModuleType:
+    """Module ``name``, entered in sys.modules now but run on its first
+    attribute access.  A module already imported is returned as it is, and
+    a missing one raises ModuleNotFoundError here, as ``import`` would."""
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
 
 #: largest length the packed-limb table accepts
 RECURSION_N_MAX = 64

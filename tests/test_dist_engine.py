@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -444,3 +445,30 @@ def test_warm_cache_does_not_bypass_the_enumeration_cap(monkeypatch):
         q_poly_bruteforce(11, (1, 0, 1, 0))
     with pytest.raises(ResourceLimitError, match=r"S_11\(132\) exceeds cap 10"):
         avoiders_array(11)
+
+
+def test_lazy_import_runs_the_module_on_first_attribute_read(tmp_path, monkeypatch):
+    (tmp_path / "qmmp132_lazy_probe.py").write_text(
+        "from pathlib import Path\nPath(__file__).with_suffix('.ran').touch()\nvalue = 7\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        module = dist_engine._lazy_import("qmmp132_lazy_probe")
+        assert sys.modules["qmmp132_lazy_probe"] is module
+        assert not (tmp_path / "qmmp132_lazy_probe.ran").exists()
+        assert module.value == 7
+        assert (tmp_path / "qmmp132_lazy_probe.ran").exists()
+    finally:
+        sys.modules.pop("qmmp132_lazy_probe", None)
+
+
+def test_lazy_import_keeps_the_failure_modes_of_import():
+    # a module already in sys.modules is returned as it is
+    assert dist_engine._lazy_import("numpy") is np
+    assert dist_engine.np is np
+    # a missing module fails at once, with import's own error
+    missing = "^No module named 'qmmp132_no_such_module'$"
+    with pytest.raises(ModuleNotFoundError, match=missing) as err:
+        dist_engine._lazy_import("qmmp132_no_such_module")
+    assert err.value.name == "qmmp132_no_such_module"
+    assert "qmmp132_no_such_module" not in sys.modules
