@@ -69,6 +69,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# dir() lists the lazy names too, without loading analysis
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _ANALYSIS)
+
+
 __all__ = [
     "DEFAULT_ENUM_CAP",
     "ResourceLimitError",

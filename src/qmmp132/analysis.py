@@ -31,9 +31,9 @@ their inputs.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from itertools import permutations, product
 from math import comb
+from typing import NamedTuple
 
 from .dist_engine import (
     _check_length,
@@ -91,8 +91,7 @@ def top_coeff_report(pattern, n: int) -> tuple[int, int]:
     return (q.degree, q.leading())
 
 
-@dataclass(frozen=True)
-class SequenceExport:
+class SequenceExport(NamedTuple):
     """An exact integer sequence extracted from one pattern's polynomials.
 
     ``transform`` is one of ``"x0"`` (coefficient of x^0, the avoidance
@@ -155,8 +154,7 @@ def avoidance_sequence(pattern, n_max: int = DEFAULT_SEQUENCE_TERMS) -> Sequence
     return export_sequence(pattern, "x0", n_max)
 
 
-@dataclass(frozen=True)
-class ClosedFormCheck:
+class ClosedFormCheck(NamedTuple):
     """One exact coefficient formula, checkable against the engine.
 
     For each n >= validity the engine polynomial Q_n must satisfy
@@ -174,8 +172,7 @@ class ClosedFormCheck:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     n_checked: tuple[int, ...]
     failure: tuple[int, str, str] | None = None  # (n, expected, got)
@@ -193,8 +190,7 @@ class CheckResult:
         return f"FAIL {self.name} at n={n}: expected {expected}, got {got}"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     results: tuple[CheckResult, ...]
 
     @property
@@ -370,8 +366,7 @@ def default_registry() -> tuple[ClosedFormCheck, ...]:
     return tuple(reg)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     pattern: tuple[int, int, int, int]
     forbidden: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[int, int, int], ...]  # (n, x0_count, classical_count)
@@ -443,8 +438,7 @@ def classical_equivalence_check(
     return EquivalenceReport((a, b, c, d), pats, rows)
 
 
-@dataclass(frozen=True)
-class XvalReport:
+class XvalReport(NamedTuple):
     entry_bound: int
     n_max: int
     order: int

@@ -55,8 +55,8 @@ cross-checked against them in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 # not called here; the benchmark's self-tests check that this name is bound
 from .dist_engine import q_series_recursive
@@ -98,8 +98,7 @@ class Route(Enum):
     ENGINE = "engine"  # (0, b, 0, 0); the benchmark tracer reads it
 
 
-@dataclass(frozen=True)
-class GfRequest:
+class GfRequest(NamedTuple):
     """A routed request: which series to build, how, and to what order.
 
     ``pattern`` is the canonical pattern: the request clamped to the
@@ -109,6 +108,10 @@ class GfRequest:
     ``pattern`` (the full four-tuple for ``Route.ENGINE``); the package
     does not read it, and it stays because the benchmark's span tracer
     labels requests by it.
+
+    A named tuple, so defining it imports nothing beyond ``typing``, which
+    the package loads anyway: it is immutable, and it equals the plain
+    tuple of its fields.
     """
 
     pattern: tuple[int, int, int, int]

@@ -394,3 +394,56 @@ def test_limits_fail_before_any_row_or_table(call, error, text):
     assert not dist_engine._memo
     assert not dist_engine._count_tensors
     assert not gf_formulas._cache
+
+
+# ---------------------------------------------------------------------------
+# the records
+
+# (type, field values in order, defaulted field -> default, str() or None for
+# the repr)
+_RECORDS = [
+    (gf_formulas.GfRequest, ((1, 1, 3, 2), 7, gf_formulas.Route.Q1234, (1, 1, 3, 2)), {}, None),
+    (SequenceExport, ((1, 1, 1, 0), "x0", 1, (1, 2, 5, 12)), {}, None),
+    (ClosedFormCheck, ("c", (0, 0, 0, 0), abs, catalan, 1), {"is_top": False, "note": ""}, None),
+    (analysis.CheckResult, ("r", (4, 5)), {"failure": None}, None),
+    (
+        analysis.CheckReport,
+        ((analysis.CheckResult("a", (4, 5)), analysis.CheckResult("b", (1,), (2, "5", "4"))),),
+        {},
+        "PASS a (n=4..5)\nFAIL b at n=2: expected 5, got 4\n1/2 checks passed",
+    ),
+    (
+        analysis.EquivalenceReport,
+        ((1, 1, 0, 0), ((1, 3, 2), (1, 2, 3)), ((1, 1, 1), (2, 2, 2), (3, 4, 5))),
+        {},
+        "n=1: zero-match count 1 == avoider count 1\n"
+        "n=2: zero-match count 2 == avoider count 2\n"
+        "n=3: zero-match count 4 != avoider count 5\n"
+        "result: NOT EQUAL",
+    ),
+    (
+        analysis.XvalReport,
+        (1, 5, 6, 5, 40),
+        {"failure": None},
+        "cross-validation: entry bound 1, lengths <= 5, series order 6\n"
+        "PASS: 5 patterns, 40 comparisons, no discrepancies",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, values, defaults, text", _RECORDS, ids=[r[0].__name__ for r in _RECORDS]
+)
+def test_records_keep_their_fields_immutability_and_text(record, values, defaults, text):
+    r = record(*values)
+    fields = {**dict(zip(record.__annotations__, values)), **defaults}
+    assert list(fields) == list(record.__annotations__)  # positional order
+    assert {f: getattr(r, f) for f in fields} == fields
+    assert repr(r) == f"{record.__name__}(" + ", ".join(
+        f"{f}={v!r}" for f, v in fields.items()
+    ) + ")"
+    assert str(r) == (repr(r) if text is None else text)
+    for name in (next(iter(fields)), "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, None)
+    assert hash(r) == hash(record(*values))

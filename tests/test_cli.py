@@ -380,9 +380,10 @@ def _loaded_after(watched, *argv):
 def test_a_cold_request_loads_only_what_it_runs():
     """numpy runs only when brute force does, and the verification drivers
     and csv only when a request verifies; importing the package loads the
-    engines.  ``numpy`` itself is always in sys.modules, as a lazy module,
-    so numpy's run is read off its first submodule, ``numpy._core``."""
-    watched = ["numpy._core", "qmmp132.analysis", "csv"]
+    engines, and no request loads dataclasses.  ``numpy`` itself is always
+    in sys.modules, as a lazy module, so numpy's run is read off its first
+    submodule, ``numpy._core``."""
+    watched = ["numpy._core", "qmmp132.analysis", "csv", "dataclasses"]
     engines = ["qmmp132.dist_engine", "qmmp132.gf_formulas"]
     for argv, last, loaded in [
         (["stat", "--perm", "471569283", "--pattern", "4,2,e,e"], "1", []),
