@@ -16,7 +16,8 @@ export tools:
   each entry's ``note``).
 
 * ``classical_equivalence_check`` compares the x=0 column against a
-  direct count of permutations avoiding a set of classical patterns.
+  direct count of permutations avoiding a set of classical patterns,
+  132 among them: the count scans S_n(132) alone.
 
 * ``cross_validate`` runs the three engines against each other and the
   inversion symmetry over a whole family of patterns, returning the
@@ -31,7 +32,7 @@ their inputs.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from itertools import permutations, product
+from itertools import product
 from math import comb
 from typing import NamedTuple
 
@@ -73,8 +74,8 @@ __all__ = [
 ]
 
 DEFAULT_SEQUENCE_TERMS = 12
+DEFAULT_CHECK_N_MAX = 25
 CLASSICAL_SCAN_CAP = 10
-FULL_SCAN_CAP = 8  # all of S_n is scanned when 132 is not forbidden: n! grows
 
 
 def top_coeff_report(pattern, n: int) -> tuple[int, int]:
@@ -127,15 +128,14 @@ def export_sequence(
 ) -> SequenceExport:
     """Sequence of one coefficient per length n = 1..n_max, exactly.
 
-    The pattern and n_max, then the transform, then n_max against the
-    recursion's limit are checked before any row is filled; then one
-    recursive series to order n_max gives every length.
+    The pattern and n_max, then the transform, are checked; then one
+    recursive series to order n_max gives every length, and its first
+    read, of length n_max, checks the recursion's limit before any row.
     """
     natural_pattern(pattern, n_max)
     value = _transform(transform)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    _check_length(n_max)
     vals = tuple(map(value, q_series_recursive(pattern, n_max).coeffs[1:]))
     a, b, c, d = pattern
     return SequenceExport((a, b, c, d), transform, 1, vals)
@@ -219,7 +219,7 @@ def _run_check(check: ClosedFormCheck, n_max: int) -> CheckResult:
 
 
 def check_closed_forms(
-    registry: Sequence[ClosedFormCheck] | None = None, n_max: int = 25
+    registry: Sequence[ClosedFormCheck] | None = None, n_max: int = DEFAULT_CHECK_N_MAX
 ) -> CheckReport:
     """Evaluate every registered formula against the recursion engine.
 
@@ -391,11 +391,11 @@ def classical_equivalence_check(
     """Compare the x=0 column with a classical multi-avoidance count.
 
     ``forbidden`` is a collection of classical patterns (tuples or
-    strings accepted by the permutation parser); the right-hand side
-    counts permutations of S_n avoiding every one of them, by direct
-    scan of S_n(132) when 132 itself is forbidden (n_max <=
-    CLASSICAL_SCAN_CAP), else of all of S_n (n_max <= FULL_SCAN_CAP).
-    Both limits are checked before any row is computed.
+    strings accepted by the permutation parser) that must include 132,
+    since the x=0 column counts 132-avoiders; the right-hand side counts
+    the members of S_n(132) avoiding the others, by direct scan (n_max <=
+    CLASSICAL_SCAN_CAP).  The limit, the entries and 132 are checked
+    before the x=0 column is read from one recursive series.
     """
     natural_pattern(pattern, n_max)
     if n_max < 1:
@@ -417,21 +417,18 @@ def classical_equivalence_check(
             raise ValueError(f"forbidden pattern must be a tuple or string, got {p!r}")
         pats.append(reduce_word(p))
     pats = tuple(pats)
-    if (1, 3, 2) in pats:  # scan only S_n(132), for the other patterns
-        scan, tests = gen_avoiders, tuple(p for p in pats if p != (1, 3, 2))
-    elif n_max > FULL_SCAN_CAP:
-        raise ResourceLimitError(
-            f"classical avoidance scan of all of S_n (132 not forbidden) "
-            f"capped at n={FULL_SCAN_CAP}; asked for {n_max}"
+    if (1, 3, 2) not in pats:
+        raise ValueError(
+            "forbidden must include 132: the x=0 column counts 132-avoiders"
         )
-    else:
-        scan, tests = lambda n: permutations(range(1, n + 1)), pats
+    tests = tuple(p for p in pats if p != (1, 3, 2))
+
+    def avoids(s) -> bool:
+        return not any(contains_classical(s, p) for p in tests)
+
+    x0 = q_series_recursive(pattern, n_max)
     rows = tuple(
-        (
-            n,
-            q_poly_recursive(n, pattern).coeff(0),
-            sum(not any(contains_classical(s, p) for p in tests) for s in scan(n)),
-        )
+        (n, x0.coeff(n).coeff(0), sum(map(avoids, gen_avoiders(n))))
         for n in range(1, n_max + 1)
     )
     a, b, c, d = pattern

@@ -86,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="run the closed-form registry")
     c.set_defaults(run=_cmd_check)
     c.add_argument("--only", help="run a single named check")
-    c.add_argument("--n-max", type=int, default=25, help="largest length checked")
+    # as for seq, the default (analysis.DEFAULT_CHECK_N_MAX) is read at run time
+    c.add_argument("--n-max", type=int, help="largest length checked")
 
     x = sub.add_parser("xval", help="cross-validate the three engines")
     x.set_defaults(run=_cmd_xval)
@@ -148,14 +149,15 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .analysis import check_closed_forms, default_registry
+    from .analysis import DEFAULT_CHECK_N_MAX, check_closed_forms, default_registry
 
     registry = default_registry()
     if args.only is not None:
         registry = tuple(c for c in registry if c.name == args.only)
         if not registry:
             raise ValueError(f"no check named {args.only!r}")
-    report = check_closed_forms(registry, n_max=args.n_max)
+    n_max = DEFAULT_CHECK_N_MAX if args.n_max is None else args.n_max
+    report = check_closed_forms(registry, n_max=n_max)
     print(report)
     return 0 if report.all_passed else 1
 

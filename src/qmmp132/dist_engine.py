@@ -245,16 +245,14 @@ def q_poly_recursive(n: int, pat) -> XPoly:
 def q_series_recursive(pat, N: int) -> TSeries:
     """Series whose t^n coefficient is q_poly_recursive(n, pat), n <= N.
 
-    The order is checked before any row is filled.  One fill to length N
-    builds the row families once; the per-n calls then find their rows,
-    except at lengths n < c, whose rows clamp c to n.
+    The rows are read longest first: the read of length N checks the
+    order, sizes the limb from C_N and fills the box before any shorter
+    row is read, and the shorter reads find their rows, except at lengths
+    n < c, whose rows clamp c to n.
     """
     pat = natural_pattern(pat, N)
-    _check_length(N)
-    if N:
-        _hold(N)
-        _fill(N, *pat)
-    return TSeries(N, [q_poly_recursive(n, pat) for n in range(N + 1)])
+    rows = [q_poly_recursive(n, pat) for n in range(N, -1, -1)]
+    return TSeries(N, rows[::-1])
 
 
 def clear_recursion_memo() -> None:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from itertools import permutations
-from math import factorial
 
 import pytest
 
@@ -26,6 +25,7 @@ from qmmp132 import (
 from qmmp132 import analysis, dist_engine, gf_formulas
 from qmmp132.analysis import ClosedFormCheck, SequenceExport
 from qmmp132.dist_engine import q_series_recursive
+from qmmp132.poly_series import _width
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +195,6 @@ def test_equivalence_accepts_string_patterns():
     assert rows[5] == (38, 38)
 
 
-def test_equivalence_without_132_scans_everything():
-    # forbidding only 123: the count is again Catalan, while the x=0
-    # column of the all-zero pattern vanishes for n >= 1
-    report = classical_equivalence_check((0, 0, 0, 0), [(1, 2, 3)], 5)
-    for n, lhs, rhs in report.rows:
-        assert lhs == (1 if n == 0 else 0) or n >= 1
-        assert rhs == catalan(n)
-    assert not report.all_equal
-    assert "NOT EQUAL" in str(report)
-
-
-def test_equivalence_negative_example_rows():
-    report = classical_equivalence_check((0, 0, 0, 0), [], 3)
-    assert report.rows == ((1, 0, 1), (2, 0, 2), (3, 0, 6))
-
-
 def test_equivalence_counts_match_a_direct_scan():
     # the right-hand column on the 132 fast path, against the oracles
     for extra in ([], [(3, 1, 2, 4), (4, 1, 2, 3)]):
@@ -263,9 +247,10 @@ def test_equivalence_scan_cap():
     assert len(report.rows) == 10
 
 
-def test_equivalence_full_scan_cap(monkeypatch):
-    """Without 132 among the forbidden patterns all of S_n is scanned, n!
-    permutations, so the limit is lower and is checked before any row."""
+def test_equivalence_scans_only_s_n_132(monkeypatch):
+    """The x=0 column counts 132-avoiders, so 132 must be forbidden: a set
+    without it is refused before any row; within S_n(132) a count that
+    differs is still reported."""
 
     def no_rows(*args):
         raise AssertionError("a row was computed")
@@ -275,17 +260,35 @@ def test_equivalence_full_scan_cap(monkeypatch):
         m.setattr(analysis, "q_series_recursive", no_rows)
         for forbidden in ([(1, 2, 3)], [], ["213", (3, 1, 2)]):
             with pytest.raises(
-                ResourceLimitError,
-                match=r"^classical avoidance scan of all of S_n \(132 not forbidden\)"
-                r" capped at n=8; asked for 9$",
+                ValueError,
+                match=r"^forbidden must include 132: "
+                r"the x=0 column counts 132-avoiders$",
             ):
                 classical_equivalence_check((0, 0, 0, 0), forbidden, 9)
-    # the limit itself is accepted (with nothing forbidden, all n! count), and
-    # with 132 forbidden the higher limit holds
-    report = classical_equivalence_check((0, 0, 0, 0), [], 8)
-    assert [rhs for _, _, rhs in report.rows] == [factorial(n) for n in range(1, 9)]
+    report = classical_equivalence_check((1, 1, 1, 0), ["132"], 7)
+    assert report.rows[-3:] == ((5, 28, 42), (6, 64, 132), (7, 144, 429))
+    assert not report.all_equal
+    assert "!=" in str(report)
+    assert str(report).endswith("result: NOT EQUAL")
     report = classical_equivalence_check((0, 0, 0, 0), [(1, 3, 2), (1, 2, 3)], 9)
     assert len(report.rows) == 9
+
+
+@pytest.mark.parametrize(
+    "read, n_max",
+    [
+        (q_series_recursive, 12),
+        (lambda p, n: export_sequence(p, "x0", n), 12),
+        (lambda p, n: classical_equivalence_check(p, ["132"], n), 10),
+    ],
+    ids=["q_series_recursive", "export_sequence", "classical_equivalence_check"],
+)
+def test_one_read_sizes_a_cold_memo_once(read, n_max):
+    # the longest row is read first, so the limb is sized from C_n_max and
+    # never widened by a shorter read; c = 5 is above the first lengths
+    dist_engine.clear_recursion_memo()
+    read((1, 0, 5, 2), n_max)
+    assert dist_engine._limb == _width(catalan(n_max))
 
 
 # ---------------------------------------------------------------------------

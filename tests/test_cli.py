@@ -247,6 +247,13 @@ def test_check_full_registry(capsys):
     assert out.rstrip().endswith("40/40 checks passed")
 
 
+def test_check_default_length(capsys):
+    # the default is analysis.DEFAULT_CHECK_N_MAX, read when check runs
+    assert run(capsys, "check") == run(capsys, "check", "--n-max", "25")
+    code, out, _ = run(capsys, "check", "--only", "1101-x0")
+    assert (code, out) == (0, "PASS 1101-x0 (n=1..25)\n1/1 checks passed\n")
+
+
 def test_check_unknown_name(capsys):
     code, _, err = run(capsys, "check", "--only", "no-such-check")
     assert code == 2

@@ -230,6 +230,22 @@ def test_a_cleared_memo_is_sized_for_its_next_request():
     assert dist_engine._limb == _width(catalan(40))
 
 
+def test_series_equals_the_per_n_reads_cold_and_warm():
+    # c = 5 is above the first lengths, whose rows clamp c to n
+    pat, N = (1, 0, 5, 2), 12
+    expected = []
+    for n in range(N + 1):
+        clear_recursion_memo()
+        expected.append(q_poly_recursive(n, pat))
+    clear_recursion_memo()
+    assert list(q_series_recursive(pat, N).coeffs) == expected  # cold
+    assert list(q_series_recursive(pat, N).coeffs) == expected  # warm
+    clear_recursion_memo()
+    q_poly_recursive(3, pat)  # a warm memo sized for a shorter length
+    assert list(q_series_recursive(pat, N).coeffs) == expected
+    assert dist_engine._limb == _width(catalan(RECURSION_N_MAX))
+
+
 def test_fill_matches_the_reference_loop_on_a_large_box():
     new, ref, _ = _memo_after((24, (8, 8, 8, 8)))
     assert len(new) == 14_220
