@@ -43,7 +43,7 @@ from .dist_engine import (
     q_series_recursive,
 )
 from .gf_formulas import dispatch
-from .mmp_stat import natural_pattern, swap_b_d
+from .mmp_stat import _checked, natural_pattern, swap_b_d
 from .perm_core import (
     ResourceLimitError,
     _is_count,
@@ -55,7 +55,7 @@ from .perm_core import (
     parse_perm,
     reduce_word,
 )
-from .poly_series import XPoly
+from .poly_series import TSeries, XPoly
 
 __all__ = [
     "CheckReport",
@@ -204,9 +204,8 @@ class CheckReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _run_check(check: ClosedFormCheck, n_max: int) -> CheckResult:
-    series = q_series_recursive(check.pattern, n_max)  # one fill for every n
-    for n in range(check.validity, n_max + 1):
+def _run_check(check: ClosedFormCheck, series: TSeries) -> CheckResult:
+    for n in range(check.validity, series.order + 1):
         q = series.coeff(n)
         r = check.selector(n)
         expected, got = check.formula(n), q.coeff(r)
@@ -215,7 +214,7 @@ def _run_check(check: ClosedFormCheck, n_max: int) -> CheckResult:
         if got != expected:
             failure = (n, str(expected), str(got))
             return CheckResult(check.name, tuple(range(check.validity, n)), failure)
-    return CheckResult(check.name, tuple(range(check.validity, n_max + 1)))
+    return CheckResult(check.name, tuple(range(check.validity, series.order + 1)))
 
 
 def check_closed_forms(
@@ -224,9 +223,9 @@ def check_closed_forms(
     """Evaluate every registered formula against the recursion engine.
 
     An empty registry, n_max < 1, or an n_max below every check's first
-    length checks nothing and raises ValueError; an n_max above the
-    recursion's limit raises ResourceLimitError.  Both are raised before
-    any check runs.
+    length checks nothing and raises ValueError, as does a malformed
+    pattern; an n_max above the recursion's limit raises
+    ResourceLimitError.  All are raised before any check runs.
     """
     if registry is None:
         registry = default_registry()
@@ -241,7 +240,9 @@ def check_closed_forms(
             f"no selected check has a length up to n_max = {n_max}"
             f" (the first starts at n = {first})"
         )
-    return CheckReport(tuple(_run_check(c, n_max) for c in registry))
+    patterns = dict.fromkeys(_checked(c.pattern, natural=True) for c in registry)
+    series = {p: q_series_recursive(p, n_max) for p in patterns}
+    return CheckReport(tuple(_run_check(c, series[c.pattern]) for c in registry))
 
 
 def default_registry() -> tuple[ClosedFormCheck, ...]:

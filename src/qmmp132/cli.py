@@ -22,11 +22,20 @@ import sys
 from .dist_engine import q_poly_bruteforce, q_poly_recursive, q_series_recursive
 from .gf_formulas import dispatch, q_poly_gf
 from .mmp_stat import format_pattern, mmp_count, parse_pattern
-from .perm_core import ResourceLimitError, parse_perm
+from .perm_core import ResourceLimitError, parse_digits, parse_perm
 
 __all__ = ["main"]
 
 DEFAULT_TRUNCATION = 12
+
+
+def _int(text: str) -> int:
+    """ASCII digits, spaces stripped; a '-' is kept for the length check."""
+    body = text.strip()
+    n = parse_digits(body.removeprefix("-"))
+    if n is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!a}")
+    return -n if body.startswith("-") else n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,26 +48,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
+    # read when the parser is built: a wrapper on a module name still runs
+    engines = {"brute": q_poly_bruteforce, "rec": q_poly_recursive, "gf": q_poly_gf}
     p = sub.add_parser("poly", help="one distribution polynomial Q_n(x)")
-    p.set_defaults(run=_cmd_poly)
+    p.set_defaults(run=_cmd_poly, engines=engines)
     p.add_argument("--pattern", required=True, help="bounds a,b,c,d")
-    p.add_argument("--n", type=int, required=True, help="permutation length")
+    p.add_argument("--n", type=_int, required=True, help="permutation length")
     p.add_argument(
         "--method",
-        choices=("brute", "rec", "gf"),
+        choices=tuple(engines),
         default="rec",
         help="engine: enumeration, structural recursion (default), or formulas",
     )
 
+    engines = {"rec": q_series_recursive, "gf": dispatch}
     s = sub.add_parser("series", help="truncated generating series")
-    s.set_defaults(run=_cmd_series)
+    s.set_defaults(run=_cmd_series, engines=engines)
     s.add_argument("--pattern", required=True, help="bounds a,b,c,d")
     s.add_argument(
-        "--order", type=int, default=DEFAULT_TRUNCATION, help="truncation order"
+        "--order", type=_int, default=DEFAULT_TRUNCATION, help="truncation order"
     )
     s.add_argument(
         "--method",
-        choices=("rec", "gf"),
+        choices=tuple(engines),
         default="gf",
         help="engine: structural recursion or formulas (default)",
     )
@@ -80,44 +92,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     # the default, analysis.DEFAULT_SEQUENCE_TERMS, is read when seq runs,
     # so that building the parser does not import analysis
-    q.add_argument("--n-max", type=int, help="last length")
+    q.add_argument("--n-max", type=_int, help="last length")
     q.add_argument("--format", choices=("plain", "csv"), default="plain")
 
     c = sub.add_parser("check", help="run the closed-form registry")
     c.set_defaults(run=_cmd_check)
     c.add_argument("--only", help="run a single named check")
     # as for seq, the default (analysis.DEFAULT_CHECK_N_MAX) is read at run time
-    c.add_argument("--n-max", type=int, help="largest length checked")
+    c.add_argument("--n-max", type=_int, help="largest length checked")
 
     x = sub.add_parser("xval", help="cross-validate the three engines")
     x.set_defaults(run=_cmd_xval)
-    x.add_argument(
-        "--entry-bound", type=int, required=True, help="max of a+b+c+d"
-    )
-    x.add_argument("--n-max", type=int, required=True, help="largest length")
-    x.add_argument("--order", type=int, required=True, help="series order")
+    x.add_argument("--entry-bound", type=_int, required=True, help="max of a+b+c+d")
+    x.add_argument("--n-max", type=_int, required=True, help="largest length")
+    x.add_argument("--order", type=_int, required=True, help="series order")
     return top
 
 
 def _cmd_poly(args) -> int:
-    pat = parse_pattern(args.pattern)
-    if args.method == "brute":
-        q = q_poly_bruteforce(args.n, pat)
-    elif args.method == "rec":
-        q = q_poly_recursive(args.n, pat)
-    else:
-        q = q_poly_gf(args.n, pat)
-    print(q)
+    print(args.engines[args.method](args.n, parse_pattern(args.pattern)))
     return 0
 
 
 def _cmd_series(args) -> int:
-    pat = parse_pattern(args.pattern)
-    if args.method == "rec":
-        series = q_series_recursive(pat, args.order)
-    else:
-        series = dispatch(pat, args.order)
-    print(series)
+    print(args.engines[args.method](parse_pattern(args.pattern), args.order))
     return 0
 
 

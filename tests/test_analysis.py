@@ -115,6 +115,68 @@ def test_check_report_is_deterministic():
     assert str(check_closed_forms(n_max=10)) == str(check_closed_forms(n_max=10))
 
 
+# the default registry's report at n_max = 8, one line per check
+REPORT_AT_8 = """\
+PASS 1110-top (n=4..8)
+PASS 1120-top (n=5..8)
+PASS 1130-top (n=6..8)
+PASS 1110-second (n=5..8)
+PASS 1120-second (n=6..8)
+PASS 1130-second (n=7..8)
+PASS 2110-top (n=5..8)
+PASS 2120-top (n=6..8)
+PASS 1210-top (n=5..8)
+PASS 1220-top (n=6..8)
+PASS 1230-top (n=7..8)
+PASS 2210-top (n=6..8)
+PASS 2220-top (n=7..8)
+PASS 0111-top (n=4..8)
+PASS 0121-top (n=5..8)
+PASS 0131-top (n=6..8)
+PASS 0111-second (n=5..8)
+PASS 0121-second (n=6..8)
+PASS 0131-second (n=7..8)
+PASS 0112-top (n=5..8)
+PASS 0122-top (n=6..8)
+PASS 0132-top (n=7..8)
+PASS 0112-second (n=6..8)
+PASS 0122-second (n=7..8)
+PASS 0132-second (n=8..8)
+PASS 0212-top (n=6..8)
+PASS 0222-top (n=7..8)
+PASS 0232-top (n=8..8)
+PASS 1101-top (n=4..8)
+PASS 1201-top (n=5..8)
+PASS 1301-top (n=6..8)
+PASS 1101-second (n=5..8)
+PASS 2101-top (n=5..8)
+PASS 3101-top (n=6..8)
+PASS 1111-top (n=5..8)
+PASS 2111-top (n=6..8)
+PASS 3111-top (n=7..8)
+PASS 1111-second (n=6..8)
+PASS 1101-x0 (n=1..8)
+PASS 0111-x0 (n=1..8)
+40/40 checks passed"""
+
+
+def test_registry_reads_one_series_per_pattern(monkeypatch):
+    # 40 checks share 27 patterns: each pattern's series is read once, in
+    # registry order, and serves every check of that pattern
+    reads = []
+
+    def counted(pattern, n_max):
+        reads.append(pattern)
+        return q_series_recursive(pattern, n_max)
+
+    monkeypatch.setattr(analysis, "q_series_recursive", counted)
+    registry = default_registry()
+    report = check_closed_forms(registry, n_max=8)
+    assert reads == list(dict.fromkeys(c.pattern for c in registry))
+    assert len(reads) == 27
+    assert str(report) == REPORT_AT_8
+
+
 def test_single_named_check_line_format():
     reg = [c for c in default_registry() if c.name == "1101-x0"]
     report = check_closed_forms(reg, n_max=12)
@@ -372,6 +434,15 @@ def test_cross_validate_is_deterministic():
         (lambda: check_closed_forms(n_max=-3), ValueError, "n_max"),
         (lambda: check_closed_forms(n_max=0), ValueError, "n_max"),
         (lambda: check_closed_forms([], n_max=10), ValueError, "no checks"),
+        (
+            # a malformed pattern is refused before any series is read,
+            # with the pattern message, not as an unhashable key
+            lambda: check_closed_forms(
+                [*default_registry(), ClosedFormCheck("list", [1, 1, 1, 0], abs, abs, 1)]
+            ),
+            ValueError,
+            "4-tuple",
+        ),
         (
             lambda: classical_equivalence_check((1, 1, 1, 0), [(1, 3, 2)], 0),
             ValueError,

@@ -353,6 +353,28 @@ def test_pattern_bounds_are_ascii_digits(capsys):
     assert err == "error: bad pattern token '\\u0661' in '\\u0661,1,1,1'\n"
 
 
+def test_numeric_options_are_ascii_digits(capsys):
+    # int() reads "1_0", "+3", an ARABIC-INDIC DIGIT THREE and surrounding
+    # spaces with a sign; a numeric option is ASCII digits after one "-"
+    for argv, value in [
+        (("poly", "--pattern", "1,1,1,1", "--n", "1_0"), "'1_0'"),
+        (("poly", "--pattern", "1,1,1,1", "--n", "\u0663"), "'\\u0663'"),
+        (("series", "--pattern", "1,1,1,1", "--order", "+3"), "'+3'"),
+        (("check", "--n-max", " +5"), "' +5'"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        option = argv[-2]
+        assert err.endswith(f"error: argument {option}: invalid int value: {value}\n")
+    # surrounding spaces are stripped, and a negative length reaches the
+    # engines' one length check
+    code, out, _ = run(capsys, "poly", "--pattern", "1,1,1,1", "--n", " 4 ")
+    assert (code, out) == (0, "14\n")
+    code, out, err = run(capsys, "poly", "--pattern", "1,1,1,1", "--n", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: length must be a nonnegative int, got -1\n"
+
+
 # ---------------------------------------------------------------------------
 # what a cold process loads
 
