@@ -68,11 +68,12 @@ factor never distinguishes bounds above m, keys are memoized with b and d
 clamped to min(., m), which keeps the table small.
 
 The recursion is evaluated as an iterative table fill over increasing
-length (no call-stack recursion).  Polynomials are packed into single big
-integers with fixed-width limbs (Kronecker substitution): one polynomial
-multiplication becomes one big-integer multiplication.  For a row of
-length m with bounds (a', b', c, d'), the positions i fall into three
-regimes:
+length (no call-stack recursion).  Each row is kept as its values at two
+points, x = +2^h and x = -2^h (two-point Kronecker substitution): one
+polynomial multiplication becomes two big-integer multiplications, each
+of operands half as wide as one packing at x = 2^(2h) would be.  For a
+row of length m with bounds (a', b', c, d'), the positions i fall into
+three regimes:
 
 * i < b': the right factor still carries b' - i in its b bound;
 * max(b', 1) <= i <= m - d': both truncations are spent, so the left
@@ -82,22 +83,28 @@ regimes:
 
 The middle regime, which holds all but at most b' + d' positions, is a
 t-convolution of two fixed families of rows.  The fill keeps each family
-as a list indexed by length, so the middle is one dot product of a slice
-and a reversed slice, summed in C; when a' = b' = 0 it is split at
-i = c + 1 and the part where n matches is shifted up one limb.  Only the
-edge terms are summed by an interpreted loop.  Inversion swaps the b and
-d bounds and keeps Q_m, so a row (m, a', b', c, d') with b' > d' takes
-the row (m, a', d', c, b') when the memo has it: the same object, with no
-sum at all.  Rows are unpacked by the series kernel's balanced
-`poly_series._unpack`, the one unpack in the package.  All coefficients
-are nonnegative and a row of length m sums to the Catalan number C_m, so
-every coefficient of every row up to length n, and of every partial sum
-of the fill, is at most C_n.  The memo's limb is
-`poly_series._width(C_n)`, the width rule the series kernel uses, sized
-for the first request on an empty memo.  A longer request on a warm memo
-widens it once, straight to the width for RECURSION_N_MAX, repacking every
-row in place; so a loop over increasing n repacks at most once before the
-next clear.
+as a list indexed by length, one list per point, so the middle is one dot
+product of a slice and a reversed slice, summed in C; when a' = b' = 0 it
+is split at i = c + 1 and the part where n matches is multiplied by the
+point, +2^h or -2^h.  Only the edge terms are summed by an interpreted
+loop.  Every sum runs once per point, with the same slices and regimes.
+Inversion swaps the b and d bounds and keeps Q_m, so a row
+(m, a', b', c, d') with b' > d' takes the row (m, a', d', c, b') when the
+memo has it: the same object, with no sum at all.
+
+A row (p, q) = (P(2^h), P(-2^h)) is read through the even and odd parts
+of P(x) = E(x^2) + x O(x^2): (p + q) / 2 = E(2^(2h)) and
+(p - q) / 2^(h+1) = O(2^(2h)), each unpacked at limb 2h by the series
+kernel's balanced `poly_series._unpack`, the one unpack in the package.
+Both divisions are checked to be exact, else ArithmeticError.  All
+coefficients are nonnegative and a row of length m sums to the Catalan
+number C_m, so every coefficient of every row up to length n is at most
+C_n.  The memo's limb is `poly_series._width(C_n)`, the width rule the
+series kernel uses, sized for the first request on an empty memo, and
+h = ceil(limb / 2), so that 2h >= limb.  A longer request on a warm memo
+widens it once, straight to the width for RECURSION_N_MAX, decoding and
+re-encoding every row in place; so a loop over increasing n re-encodes at
+most once before the next clear.
 """
 
 from __future__ import annotations
@@ -110,7 +117,7 @@ from types import ModuleType
 
 from .mmp_stat import natural_pattern
 from .perm_core import ResourceLimitError, catalan, check_enumeration, checked_length
-from .poly_series import ONE, TSeries, XPoly, _pack, _unpack, _width
+from .poly_series import ONE, TSeries, XPoly, _unpack, _width
 
 
 def _lazy_import(name: str) -> ModuleType:
@@ -135,8 +142,8 @@ np = _lazy_import("numpy")
 #: largest length the packed-limb table accepts
 RECURSION_N_MAX = 64
 
-_memo: dict[tuple[int, int, int, int, int], int] = {}
-_limb = 0  # bits per packed coefficient of every row in _memo
+_memo: dict[tuple[int, int, int, int, int], tuple[int, int]] = {}
+_limb = 0  # width(C_n) of the longest length held: every coefficient's bound
 
 # ---------------------------------------------------------------------------
 # structural recursion
@@ -145,30 +152,35 @@ _limb = 0  # bits per packed coefficient of every row in _memo
 def _fill(n: int, a: int, b: int, c: int, d: int) -> None:
     """Ensure memo rows for every state reachable from (a,b,c,d) up to length n.
 
-    While it runs, ``fam[a'][b'][d'][k]`` is the packed row
+    Each row is the pair of its values at x = +2^h and x = -2^h,
+    h = _half(_limb), and every sum is run once per point (see _sum), on
+    that point's values of its factors.  While it runs,
+    ``fams[s][a'][b'][d'][k]`` is component s of
     ``_memo[(k, a', min(b',k), c, min(d',k))]`` (1 at k = 0), grown by one
-    entry per length, so every factor of the sum is a list read.
+    entry per length, so every factor of a sum is a list read.
     """
     if (n, a, b, c, d) in _memo:
         return  # rows go in (m, a', b', d') order: the box is complete
-    fam = [[[[1] for _ in range(d + 1)] for _ in range(b + 1)] for _ in range(a + 1)]
+    x = 1 << _half(_limb)
+    fams = [
+        [[[[1] for _ in range(d + 1)] for _ in range(b + 1)] for _ in range(a + 1)]
+        for _ in range(2)
+    ]
     for m in range(1, n + 1):
         if m > 1:  # extend every family by its length-(m-1) row
             k = m - 1
             dks = [min(dd, k) for dd in range(d + 1)]
-            for aa, per_b in enumerate(fam):
-                for bb, per_d in enumerate(per_b):
+            for aa, (per_b, per_b_q) in enumerate(zip(*fams)):
+                for bb, (per_d, per_d_q) in enumerate(zip(per_b, per_b_q)):
                     bk = min(bb, k)
-                    for dk, row in zip(dks, per_d):
-                        row.append(_memo[(k, aa, bk, c, dk)])
+                    for dk, row, row_q in zip(dks, per_d, per_d_q):
+                        p, q = _memo[(k, aa, bk, c, dk)]
+                        row.append(p)
+                        row_q.append(q)
         if (m, a, min(b, m), c, min(d, m)) in _memo:
             continue  # its top row is written last: the length is complete
         for aa in range(a + 1):
-            left = fam[aa - 1 if aa else 0]
-            right = fam[aa]
             for bb in range(min(b, m) + 1):
-                lfam = left[bb]
-                lmid = lfam[0]
                 lo = max(bb, 1)  # from i = lo on, the right factor's b is spent
                 for dd in range(min(d, m) + 1):
                     key = (m, aa, bb, c, dd)
@@ -179,22 +191,37 @@ def _fill(n: int, a: int, b: int, c: int, d: int) -> None:
                         if twin is not None:
                             _memo[key] = twin
                             continue
-                    rmid = right[0][dd]
                     hi = m - dd  # up to i = hi, the left factor's d is spent
                     mid = min(lo, hi + 1)  # the middle regime is mid..hi
-                    if aa == 0 and bb == 0:  # n matches from i = c + 1 on
-                        split = min(max(c + 1, mid), hi + 1)
-                        acc = _dot(lmid, rmid, m, mid, split - 1)
-                        acc += _dot(lmid, rmid, m, split, hi) << _limb
-                    else:
-                        acc = _dot(lmid, rmid, m, mid, hi)
-                    for i in range(1, mid):
-                        acc += lmid[i - 1] * right[bb - i][dd][m - i]
-                    for i in range(hi + 1, m + 1):
-                        # m - i < dd: no position of the right factor can see
-                        # dd points below-right, so its b bound is moot
-                        acc += lfam[i - hi][i - 1] * rmid[m - i]
-                    _memo[key] = acc
+                    # n matches from i = split on when a' = b' = 0; 0: never
+                    split = min(max(c + 1, mid), hi + 1) if aa == 0 and bb == 0 else 0
+                    _memo[key] = (
+                        _sum(fams[0], aa, bb, dd, m, mid, split, hi, x),
+                        _sum(fams[1], aa, bb, dd, m, mid, split, hi, -x),
+                    )
+
+
+def _sum(
+    fam, aa: int, bb: int, dd: int, m: int, mid: int, split: int, hi: int, x: int
+) -> int:
+    """The row (m, aa, bb, c, dd) at the point x, from that point's families:
+    the middle regime mid..hi, its terms from i = split on multiplied by x
+    when split is nonzero, then the edge terms."""
+    lfam = fam[aa - 1 if aa else 0][bb]
+    right = fam[aa]
+    lmid = lfam[0]
+    rmid = right[0][dd]
+    if split:
+        acc = _dot(lmid, rmid, m, mid, split - 1) + _dot(lmid, rmid, m, split, hi) * x
+    else:
+        acc = _dot(lmid, rmid, m, mid, hi)
+    for i in range(1, mid):
+        acc += lmid[i - 1] * right[bb - i][dd][m - i]
+    for i in range(hi + 1, m + 1):
+        # m - i < dd: no position of the right factor can see dd points
+        # below-right, so its b bound is moot
+        acc += lfam[i - hi][i - 1] * rmid[m - i]
+    return acc
 
 
 def _dot(left: list[int], right: list[int], m: int, lo: int, hi: int) -> int:
@@ -209,6 +236,32 @@ def _check_length(n: int) -> None:
         )
 
 
+def _half(limb: int) -> int:
+    """h = ceil(limb / 2): rows at this limb are kept at x = +2^h and
+    x = -2^h, and their even and odd parts unpack at limb 2h >= limb."""
+    return (limb + 1) // 2
+
+
+def _decode(row: tuple[int, int], limb: int) -> XPoly:
+    """The polynomial of a memo row (p, q) = (P(2^h), P(-2^h)), h = _half(limb).
+
+    (p + q) / 2 is the even part of P at y = 2^(2h), (p - q) / 2^(h+1) the
+    odd part, each unpacked at limb 2h >= limb.  A pair that is not exactly
+    divisible so is no such row, and raises ArithmeticError.
+    """
+    h = _half(limb)
+    p, q = row
+    even, odd = p + q, p - q
+    if even & 1 or odd & ((2 << h) - 1):
+        raise ArithmeticError("a memo row is not one polynomial at x = +2^h and -2^h")
+    ev = _unpack(even >> 1, 2 * h).coeffs
+    od = _unpack(odd >> (h + 1), 2 * h).coeffs
+    coeffs = [0] * (2 * max(len(ev), len(od)))
+    coeffs[0 : 2 * len(ev) : 2] = ev
+    coeffs[1 : 2 * len(od) : 2] = od
+    return XPoly(coeffs)
+
+
 def _hold(n: int) -> None:
     """Make the memo's limb hold rows of length n: coefficients are <= C_n.
 
@@ -220,13 +273,16 @@ def _hold(n: int) -> None:
         _limb = _width(catalan(n))
     elif _width(catalan(n)) > _limb:  # widen once, to the longest length accepted
         limb = _width(catalan(RECURSION_N_MAX))
-        for key, z in _memo.items():
-            _memo[key] = _pack(_unpack(z, _limb).coeffs, limb)
+        x = 1 << _half(limb)
+        for key, row in _memo.items():
+            poly = _decode(row, _limb)
+            _memo[key] = (poly.eval_at(x), poly.eval_at(-x))
         _limb = limb
 
 
 def q_poly_recursive(n: int, pat) -> XPoly:
-    """Q_n(x) by the memoized structural recursion.
+    """Q_n(x) by the memoized structural recursion, decoded from its row's
+    values at x = +2^h and x = -2^h (see _decode).
 
     >>> print(q_poly_recursive(4, (1, 1, 1, 0)))
     12+2x
@@ -239,7 +295,7 @@ def q_poly_recursive(n: int, pat) -> XPoly:
         return ONE
     _hold(n)
     _fill(n, a, b, c, d)
-    return _unpack(_memo[(n, a, b, c, d)], _limb)
+    return _decode(_memo[(n, a, b, c, d)], _limb)
 
 
 def q_series_recursive(pat, N: int) -> TSeries:

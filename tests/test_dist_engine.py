@@ -143,8 +143,8 @@ def test_series_limits_fail_before_any_row_is_filled():
     assert dist_engine._limb == width
 
 
-def _reference_fill(memo, limb, n, a, b, c, d):
-    """The table fill as one triple loop over (m, a', b', d') and i."""
+def _reference_fill(memo, x, n, a, b, c, d):
+    """The table fill at the point x as one triple loop over (m, a', b', d') and i."""
     for m in range(1, n + 1):
         for aa in range(a + 1):
             for bb in range(min(b, m) + 1):
@@ -161,19 +161,25 @@ def _reference_fill(memo, limb, n, a, b, c, d):
                         right = memo[(k, aa, min(br, k), c, min(dd, k))] if k else 1
                         term = left * right
                         if aa == 0 and bb == 0 and i - 1 >= c and m - i >= dd:
-                            term <<= limb
+                            term *= x
                         acc += term
                     memo[key] = acc
 
 
 def _memo_after(*requests):
-    """The recursion memo after cold requests in turn, the reference's at the
-    width the memo ends with, and the requests' results."""
+    """The recursion memo after cold requests in turn, the reference's pairs
+    at x = +2^h and x = -2^h for the limb the memo ends with, and the
+    requests' results."""
     clear_recursion_memo()
     results = [q_poly_recursive(n, pat) for n, pat in requests]
-    ref: dict = {}
+    x = 1 << dist_engine._half(dist_engine._limb)
+    plus: dict = {}
+    minus: dict = {}
     for n, pat in requests:
-        _reference_fill(ref, dist_engine._limb, n, *natural_pattern(pat, n))
+        _reference_fill(plus, x, n, *natural_pattern(pat, n))
+        _reference_fill(minus, -x, n, *natural_pattern(pat, n))
+    assert plus.keys() == minus.keys()
+    ref = {key: (p, minus[key]) for key, p in plus.items()}
     return dict(dist_engine._memo), ref, results
 
 
@@ -213,7 +219,7 @@ def test_a_longer_request_widens_the_warm_memo_once(data):
     requests = [first, longer] + data.draw(st.lists(fill_requests(), max_size=1))
     new, ref, results = _memo_after(*requests)
     assert dist_engine._limb == _width(catalan(RECURSION_N_MAX))
-    assert list(new) == list(ref) and new == ref  # repacked in place, in order
+    assert list(new) == list(ref) and new == ref  # re-encoded in place, in order
     for (n, pat), q in zip(requests, results):
         clear_recursion_memo()
         assert q == q_poly_recursive(n, pat), (n, pat)
@@ -270,6 +276,34 @@ def test_limb_width_holds_every_coefficient():
         q = q_poly_recursive(n, (0, 0, 0, 0))
         assert dist_engine._limb == _width(catalan(n))
         assert q == XPoly((0,) * n + (catalan(n),)), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_row_round_trips_through_its_two_points(data):
+    # width(C_n) is odd for some n and even for others: 2h = limb or limb + 1
+    n = data.draw(st.integers(1, RECURSION_N_MAX))
+    limb = _width(catalan(n))
+    coeffs = data.draw(st.lists(st.integers(0, catalan(n)), max_size=n + 1))
+    x = 1 << dist_engine._half(limb)
+    row = XPoly(coeffs).eval_at(x), XPoly(coeffs).eval_at(-x)
+    assert dist_engine._decode(row, limb) == XPoly(coeffs)
+
+
+def test_a_corrupted_row_raises_instead_of_decoding():
+    clear_recursion_memo()
+    want = q_poly_recursive(20, (1, 0, 2, 1))
+    key = (20, 1, 0, 2, 1)
+    p, q = dist_engine._memo[key]
+    h = dist_engine._half(dist_engine._limb)
+    # an odd p + q, then an even p + q whose p - q is not a multiple of 2^(h+1)
+    for bad in ((p + 1, q), (p, q + 2), (p + (1 << h), q)):
+        dist_engine._memo[key] = bad
+        with pytest.raises(ArithmeticError):
+            q_poly_recursive(20, (1, 0, 2, 1))
+    dist_engine._memo[key] = (p, q)
+    assert q_poly_recursive(20, (1, 0, 2, 1)) == want
+    clear_recursion_memo()
 
 
 def test_recursion_reaches_large_lengths():
