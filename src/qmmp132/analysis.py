@@ -11,9 +11,10 @@ export tools:
   exact coefficient formulas (highest coefficient, second-highest
   coefficient, and x=0 closed forms) against the structural recursion
   over a range of lengths.  ``default_registry`` ships every formula
-  the package asserts; four entries carry series-validated corrections
-  whose stated source forms contradict the verified expansions (see
-  each entry's ``note``).
+  the package asserts, from twenty family rows whose patterns give each
+  check's name, first length and coefficient; four rows carry
+  series-validated corrections whose stated source forms contradict the
+  verified expansions (see each entry's ``note``).
 
 * ``classical_equivalence_check`` compares the x=0 column against a
   direct count of permutations avoiding a set of classical patterns,
@@ -245,126 +246,118 @@ def check_closed_forms(
     return CheckReport(tuple(_run_check(c, series[c.pattern]) for c in registry))
 
 
-def default_registry() -> tuple[ClosedFormCheck, ...]:
-    """Every coefficient closed form the package asserts.
-
-    Families are instantiated at the small parameter values their
-    source expansions cover (m, l, k in 1..3 as applicable).  Entries
-    whose ``note`` is nonempty are series-validated corrections: the
-    form stated alongside the source expansions contradicts the
-    expansions themselves (and both independent engines); the registry
-    encodes the value the verified series force.
-
-    Each check's ``validity`` is its first length: n = shift + 1 for a
-    check of x^(n - shift), where that exponent is 1, and n = 1 for a
-    check of x^0.
-    """
-    C = catalan
-    reg: list[ClosedFormCheck] = []
-
-    def add(name, pattern, shift, fn, note=""):
-        """The coefficient of x^(n - shift), or of x^0 if shift is None."""
-        selector = (lambda n: 0) if shift is None else (lambda n: n - shift)
-        validity = 1 if shift is None else shift + 1
-        is_top = name.endswith("-top")
-        reg.append(ClosedFormCheck(name, pattern, selector, fn, validity, is_top, note))
-
-    # --- patterns bounding quadrants I, II, III -------------------------
-    for m in (1, 2, 3):
-        add(f"11{m}0-top", (1, 1, m, 0), 2 + m, lambda n, m=m: 2 * C(m))
-    add("1110-second", (1, 1, 1, 0), 4, lambda n: 6 + 2 * comb(n - 2, 2))
-    for m in (2, 3):
-        add(
-            f"11{m}0-second",
-            (1, 1, m, 0),
-            3 + m,
-            lambda n, m=m: 2 * C(m + 1) + 8 * C(m) + 4 * C(m) * (n - 4 - m),
-        )
-    for m in (1, 2):
-        add(f"21{m}0-top", (2, 1, m, 0), 3 + m, lambda n, m=m: 3 * C(m))
-    for m in (1, 2, 3):
-        add(f"12{m}0-top", (1, 2, m, 0), 3 + m, lambda n, m=m: 5 * C(m))
-    for m in (1, 2):
-        add(f"22{m}0-top", (2, 2, m, 0), 4 + m, lambda n, m=m: 9 * C(m))
-
-    # --- patterns bounding quadrants II, III, IV ------------------------
-    for el in (1, 2, 3):
-        add(f"01{el}1-top", (0, 1, el, 1), 2 + el, lambda n, el=el: C(el))
-    add("0111-second", (0, 1, 1, 1), 4, lambda n: 5 + comb(n - 2, 2))
-    for el in (2, 3):
-        add(
-            f"01{el}1-second",
-            (0, 1, el, 1),
-            3 + el,
-            lambda n, el=el: C(el + 1) + 6 * C(el) + 2 * C(el) * (n - 4 - el),
-        )
-    for el in (1, 2, 3):
-        add(f"01{el}2-top", (0, 1, el, 2), 3 + el, lambda n, el=el: 2 * C(el))
-    add(
-        "0112-second",
-        (0, 1, 1, 2),
-        5,
-        lambda n: 13 + 2 * comb(n - 3, 2),
-        note="series-validated correction: stated forms 13+binom(n-2,2) and "
+# Every coefficient formula the package asserts, one row per family, in
+# registry order: (template, kind, formula(n, p), parameters[, note]).  The
+# template is the pattern's digits with p for the free parameter; one
+# without p is a single check, listed at (1,).  A match needs a+b+c+d
+# other points, so x^(n - a - b - c - d) is the top power: kind "top"
+# checks its coefficient, "second" the next one down, and "x0" the
+# avoidance count.
+# A note marks a series-validated correction: the form stated alongside
+# the source expansions contradicts the expansions themselves (and both
+# independent engines); the row encodes the value the verified series force.
+_FAMILIES = (
+    # --- patterns bounding quadrants I, II, III ---------------------------
+    ("11p0", "top", lambda n, m: 2 * catalan(m), (1, 2, 3)),
+    ("1110", "second", lambda n, _: 6 + 2 * comb(n - 2, 2), (1,)),
+    (
+        "11p0",
+        "second",
+        lambda n, m: (
+            2 * catalan(m + 1) + 8 * catalan(m) + 4 * catalan(m) * (n - 4 - m)
+        ),
+        (2, 3),
+    ),
+    ("21p0", "top", lambda n, m: 3 * catalan(m), (1, 2)),
+    ("12p0", "top", lambda n, m: 5 * catalan(m), (1, 2, 3)),
+    ("22p0", "top", lambda n, m: 9 * catalan(m), (1, 2)),
+    # --- patterns bounding quadrants II, III, IV --------------------------
+    ("01p1", "top", lambda n, el: catalan(el), (1, 2, 3)),
+    ("0111", "second", lambda n, _: 5 + comb(n - 2, 2), (1,)),
+    (
+        "01p1",
+        "second",
+        lambda n, el: (
+            catalan(el + 1) + 6 * catalan(el) + 2 * catalan(el) * (n - 4 - el)
+        ),
+        (2, 3),
+    ),
+    ("01p2", "top", lambda n, el: 2 * catalan(el), (1, 2, 3)),
+    (
+        "0112",
+        "second",
+        lambda n, _: 13 + 2 * comb(n - 3, 2),
+        (1,),
+        "series-validated correction: stated forms 13+binom(n-2,2) and "
         "13+2*binom(n-3,2) disagree between statement and proof; the "
         "expansions force 13+2*binom(n-3,2)",
-    )
-    for el in (2, 3):
-        add(
-            f"01{el}2-second",
-            (0, 1, el, 2),
-            4 + el,
-            lambda n, el=el: 2 * C(el + 1) + 15 * C(el) + 4 * C(el) * (n - 5 - el),
-        )
-    for el in (1, 2, 3):
-        add(
-            f"02{el}2-top",
-            (0, 2, el, 2),
-            4 + el,
-            lambda n, el=el: 4 * C(el),
-            note="series-validated exponent n-4-el (a stated variant shifts it)",
-        )
-
-    # --- patterns bounding quadrants I, II, IV --------------------------
-    for el in (1, 2, 3):
-        add(
-            f"1{el}01-top",
-            (1, el, 0, 1),
-            2 + el,
-            lambda n, el=el: 2 * C(el + 1) * C(n - el - 2),
-            note="series-validated correction: the stated constant 4*C(el) "
-            "equals the true constant 2*C(el+1) only at el=1",
-        )
-    add("1101-second", (1, 1, 0, 1), 4, lambda n: 8 * C(n - 3) + C(n - 4))
-    for k in (2, 3):
-        add(
-            f"{k}101-top",
-            (k, 1, 0, 1),
-            2 + k,
-            lambda n, k=k: (k + 1) ** 2 * C(n - k - 2),
-        )
-
-    # --- patterns bounding all four quadrants ---------------------------
-    for k in (1, 2, 3):
-        add(f"{k}111-top", (k, 1, 1, 1), 3 + k, lambda n, k=k: (k + 1) ** 2)
-    add(
-        "1111-second",
-        (1, 1, 1, 1),
-        5,
-        lambda n: 17 + 4 * comb(n - 3, 2),
-        note="series-validated correction: stated binom(n-3,3); expansions "
+    ),
+    (
+        "01p2",
+        "second",
+        lambda n, el: (
+            2 * catalan(el + 1) + 15 * catalan(el) + 4 * catalan(el) * (n - 5 - el)
+        ),
+        (2, 3),
+    ),
+    (
+        "02p2",
+        "top",
+        lambda n, el: 4 * catalan(el),
+        (1, 2, 3),
+        "series-validated exponent n-4-el (a stated variant shifts it)",
+    ),
+    # --- patterns bounding quadrants I, II, IV ----------------------------
+    (
+        "1p01",
+        "top",
+        lambda n, el: 2 * catalan(el + 1) * catalan(n - el - 2),
+        (1, 2, 3),
+        "series-validated correction: the stated constant 4*C(el) "
+        "equals the true constant 2*C(el+1) only at el=1",
+    ),
+    ("1101", "second", lambda n, _: 8 * catalan(n - 3) + catalan(n - 4), (1,)),
+    ("p101", "top", lambda n, k: (k + 1) ** 2 * catalan(n - k - 2), (2, 3)),
+    # --- patterns bounding all four quadrants -----------------------------
+    ("p111", "top", lambda n, k: (k + 1) ** 2, (1, 2, 3)),
+    (
+        "1111",
+        "second",
+        lambda n, _: 17 + 4 * comb(n - 3, 2),
+        (1,),
+        "series-validated correction: stated binom(n-3,3); expansions "
         "force binom(n-3,2)",
+    ),
+    # --- x = 0 closed forms -----------------------------------------------
+    ("1101", "x0", lambda n, _: (n - 1) ** 2 + 1, (1,)),
+    ("0111", "x0", lambda n, _: 1 if n == 1 else (n - 1) * 2 ** (n - 2) + 1, (1,)),
+)
+
+
+def _family_check(row, p: int) -> ClosedFormCheck:
+    """The check of one _FAMILIES row at parameter p: its name and pattern
+    are the template at p, and a check of x^(n - shift) starts at
+    n = shift + 1, where the exponent is 1, a check of x^0 at n = 1."""
+    template, kind, formula, _, *note = row
+    pattern = tuple(p if ch == "p" else int(ch) for ch in template)
+    shift = sum(pattern) + (kind == "second")
+    return ClosedFormCheck(
+        f"{template.replace('p', str(p))}-{kind}",
+        pattern,
+        (lambda n: 0) if kind == "x0" else (lambda n: n - shift),
+        lambda n: formula(n, p),
+        1 if kind == "x0" else shift + 1,
+        kind == "top",
+        *note,
     )
 
-    # --- x = 0 closed forms ----------------------------------------------
-    add("1101-x0", (1, 1, 0, 1), None, lambda n: (n - 1) ** 2 + 1)
-    add(
-        "0111-x0",
-        (0, 1, 1, 1),
-        None,
-        lambda n: 1 if n == 1 else (n - 1) * 2 ** (n - 2) + 1,
-    )
-    return tuple(reg)
+
+def default_registry() -> tuple[ClosedFormCheck, ...]:
+    """Every coefficient closed form the package asserts: each _FAMILIES row
+    at the small parameters its source expansions cover (1..3 as
+    applicable), 40 checks over 27 patterns.  Entries whose ``note`` is
+    nonempty are series-validated corrections."""
+    return tuple(_family_check(row, p) for row in _FAMILIES for p in row[3])
 
 
 class EquivalenceReport(NamedTuple):

@@ -274,9 +274,13 @@ def _hold(n: int) -> None:
     elif _width(catalan(n)) > _limb:  # widen once, to the longest length accepted
         limb = _width(catalan(RECURSION_N_MAX))
         x = 1 << _half(limb)
+        # each distinct row is re-encoded once, so twins still share one object
+        wide: dict[tuple[int, int], tuple[int, int]] = {}
         for key, row in _memo.items():
-            poly = _decode(row, _limb)
-            _memo[key] = (poly.eval_at(x), poly.eval_at(-x))
+            if row not in wide:
+                poly = _decode(row, _limb)
+                wide[row] = (poly.eval_at(x), poly.eval_at(-x))
+            _memo[key] = wide[row]
         _limb = limb
 
 

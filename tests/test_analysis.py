@@ -177,6 +177,39 @@ def test_registry_reads_one_series_per_pattern(monkeypatch):
     assert str(report) == REPORT_AT_8
 
 
+def _families():
+    """The registry rows with a free parameter: 13 of its 20."""
+    rows = [row for row in analysis._FAMILIES if "p" in row[0]]
+    assert len(analysis._FAMILIES) == 20 and len(rows) == 13
+    return rows
+
+
+def test_every_family_holds_past_its_registry_parameters():
+    # each family from its first parameter up to 8, through n = 40: the
+    # formulas claim every parameter, not just the registry's 1..3
+    checks = [
+        analysis._family_check(row, p)
+        for row in _families()
+        for p in range(row[3][0], 9)
+    ]
+    assert len(checks) == 100
+    report = check_closed_forms(checks, n_max=40)
+    assert report.all_passed, str(report)
+
+
+def test_second_families_fail_at_parameter_one():
+    # the general "-second" forms are wrong at p = 1, which is why each has
+    # a row of its own there and its family row starts at 2
+    rows = [row for row in _families() if row[1] == "second"]
+    report = check_closed_forms([analysis._family_check(row, 1) for row in rows])
+    assert [(r.name, r.failure[0]) for r in report.results] == [
+        ("1110-second", 6),
+        ("0111-second", 6),
+        ("0112-second", 7),
+    ]
+    assert [row[3][0] for row in rows] == [2, 2, 2]
+
+
 def test_single_named_check_line_format():
     reg = [c for c in default_registry() if c.name == "1101-x0"]
     report = check_closed_forms(reg, n_max=12)

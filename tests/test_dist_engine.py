@@ -260,12 +260,17 @@ def test_fill_matches_the_reference_loop_on_a_large_box():
 
 def test_reflected_twin_rows_are_shared():
     # inversion swaps b and d and keeps Q_m: a row with b' > d' is the very
-    # object of its twin, and the memo still equals the reference loop's
-    new, ref, _ = _memo_after((30, (2, 5, 1, 5)))
-    assert new.keys() == ref.keys() and new == ref
-    twins = [(k, (k[0], k[1], k[4], k[3], k[2])) for k in new if k[2] > k[4]]
-    assert len(twins) > 1000
-    assert all(new[k] is new[t] for k, t in twins)
+    # object of its twin, and the memo still equals the reference loop's,
+    # after a cold fill and after a fill that widens the limb on the way
+    pat = (2, 5, 1, 5)
+    cold = len({id(row) for row in _memo_after((40, pat))[0].values()})
+    for requests in [((30, pat),), ((30, pat), (40, pat))]:
+        new, ref, _ = _memo_after(*requests)
+        assert new.keys() == ref.keys() and new == ref
+        twins = [(k, (k[0], k[1], k[4], k[3], k[2])) for k in new if k[2] > k[4]]
+        assert len(twins) > 1000
+        assert all(new[k] is new[t] for k, t in twins)
+        assert len({id(row) for row in new.values()}) <= cold
 
 
 def test_limb_width_holds_every_coefficient():
