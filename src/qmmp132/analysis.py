@@ -336,13 +336,16 @@ _FAMILIES = (
 
 def _family_check(row, p: int) -> ClosedFormCheck:
     """The check of one _FAMILIES row at parameter p: its name and pattern
-    are the template at p, and a check of x^(n - shift) starts at
-    n = shift + 1, where the exponent is 1, a check of x^0 at n = 1."""
+    are the template at p, written with commas as in ``--pattern`` when p
+    has two digits, so that no two names meet; a check of x^(n - shift)
+    starts at n = shift + 1, where the exponent is 1, a check of x^0 at
+    n = 1."""
     template, kind, formula, _, *note = row
     pattern = tuple(p if ch == "p" else int(ch) for ch in template)
     shift = sum(pattern) + (kind == "second")
+    label = template.replace("p", str(p)) if p < 10 else ",".join(map(str, pattern))
     return ClosedFormCheck(
-        f"{template.replace('p', str(p))}-{kind}",
+        f"{label}-{kind}",
         pattern,
         (lambda n: 0) if kind == "x0" else (lambda n: n - shift),
         lambda n: formula(n, p),

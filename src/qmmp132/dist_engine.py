@@ -101,10 +101,10 @@ coefficients are nonnegative and a row of length m sums to the Catalan
 number C_m, so every coefficient of every row up to length n is at most
 C_n.  The memo's limb is `poly_series._width(C_n)`, the width rule the
 series kernel uses, sized for the first request on an empty memo, and
-h = ceil(limb / 2), so that 2h >= limb.  A longer request on a warm memo
-widens it once, straight to the width for RECURSION_N_MAX, decoding and
-re-encoding every row in place; so a loop over increasing n re-encodes at
-most once before the next clear.
+h = ceil(limb / 2), so that 2h >= limb.  A longer request that the limb
+cannot hold drops the memo and refills it at the width for
+RECURSION_N_MAX, so a loop over increasing n refills at most once before
+the next clear.
 """
 
 from __future__ import annotations
@@ -262,42 +262,29 @@ def _decode(row: tuple[int, int], limb: int) -> XPoly:
     return XPoly(coeffs)
 
 
-def _hold(n: int) -> None:
-    """Make the memo's limb hold rows of length n: coefficients are <= C_n.
-
-    C_{n+1} >= 2 C_n for n >= 1, so the width rises strictly with n and a
-    limb narrower than C_n's width holds no row of length n.
-    """
-    global _limb
-    if not _memo:
-        _limb = _width(catalan(n))
-    elif _width(catalan(n)) > _limb:  # widen once, to the longest length accepted
-        limb = _width(catalan(RECURSION_N_MAX))
-        x = 1 << _half(limb)
-        # each distinct row is re-encoded once, so twins still share one object
-        wide: dict[tuple[int, int], tuple[int, int]] = {}
-        for key, row in _memo.items():
-            if row not in wide:
-                poly = _decode(row, _limb)
-                wide[row] = (poly.eval_at(x), poly.eval_at(-x))
-            _memo[key] = wide[row]
-        _limb = limb
-
-
 def q_poly_recursive(n: int, pat) -> XPoly:
     """Q_n(x) by the memoized structural recursion, decoded from its row's
     values at x = +2^h and x = -2^h (see _decode).
+
+    Coefficients are <= C_n, and C_{n+1} >= 2 C_n for n >= 1, so a limb
+    narrower than C_n's width holds no row of length n: a warm memo that
+    narrow is dropped, not re-encoded, and _fill stays its one writer.
 
     >>> print(q_poly_recursive(4, (1, 1, 1, 0)))
     12+2x
     >>> print(q_poly_recursive(5, (1, 1, 1, 1)))
     38+4x
     """
+    global _limb
     a, b, c, d = natural_pattern(pat, n)
     _check_length(n)
     if n == 0:
         return ONE
-    _hold(n)
+    if not _memo:
+        _limb = _width(catalan(n))
+    elif _width(catalan(n)) > _limb:  # drop it, widen to the longest length accepted
+        _memo.clear()
+        _limb = _width(catalan(RECURSION_N_MAX))
     _fill(n, a, b, c, d)
     return _decode(_memo[(n, a, b, c, d)], _limb)
 

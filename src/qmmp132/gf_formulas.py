@@ -234,19 +234,19 @@ def block_series(pattern, order: int) -> TSeries:
     sub-pattern is the pattern itself: (a', b, c, d) at r = 0 when a = 0,
     (a', b, c, 0) when a = d = 0, or (a, 0, c, d) when b = 0.  Its term
     is lam (Q - S), with S = S_{b-2}, S_{b-2} or S_{d-1} respectively;
-    with K the other terms, Q - S = (1 - S + t K) / (1 - t lam), which
+    with K the other terms, Q = (1 + t K - t lam S) / (1 - t lam), which
     costs one series division.
 
-    The numerator 1 + t (H + T + M) - S is built in one packed pass, by
+    The numerator 1 + t K - t lam S is built in one packed pass, by
     `linear_combination`: each head and tail series, the partial sums
-    the tails subtract, the product M and the 1 - S are terms c t^k u.
+    the tails subtract, the product M and each S_j t^(j+1) lam are terms
+    c t^k u.
     Their norm bounds are summed first, into one bound list, and fix the
     width L = max(W_N, width(largest bound), every term's width); each
     sub-series from `dispatch` is at W_N, so L is W_N unless the bounds
     or M need more.  Each term is then read once at L and added, scaled
     and shifted, into one coefficient list.  The left and right factors
-    of M, the denominator 1 - t lam and the final + S are built the same
-    way.
+    of M and the denominator 1 - t lam are built the same way.
 
     The product M and the division take count bounds that the identity
     proves, so neither runs a second O(N^2) pass on norm bounds (a
@@ -255,10 +255,11 @@ def block_series(pattern, order: int) -> TSeries:
     * a match needs a + b + c + d other points, so Q(a, b, c, d)_j = C_j,
       x-free, for every j <= b and every j <= d.  S_{b-2} and S_{d-1}
       therefore remove exactly these coefficients, and each of
-      Q(a', b, c, 0) - S_{b-2}, Q(a, 0, c, d) - S_{d-1} and the quotient
-      Q - S has, at t^j, either 0 or Q_j, whose coefficients are counts
-      summing to C_j: nonnegative, with 1-norm at most C_j;
-    * so |M_n|_1 <= sum_i C_i C_{n-i} = C_{n+1}, and |(Q - S)_n|_1 <= C_n.
+      Q(a', b, c, 0) - S_{b-2} and Q(a, 0, c, d) - S_{d-1} has, at t^j,
+      either 0 or Q_j, whose coefficients are counts summing to C_j:
+      nonnegative, with 1-norm at most C_j;
+    * so |M_n|_1 <= sum_i C_i C_{n-i} = C_{n+1}, and the quotient Q has
+      |Q_n|_1 = C_n, the sum that `distribution` checks.
 
     Both are below C_{N+2}, so the width stays W_N.  The packed arithmetic
     is exact at any width, so the bounds only decide the read-back, and
@@ -266,43 +267,42 @@ def block_series(pattern, order: int) -> TSeries:
 
     At a = b = 0, (0, 0, c, 0) is the x-marked Catalan series when c = 0,
     else the quadratic fixed point of `solve_q00k0`; (0, 0, c, d) with
-    d >= 1 is computed as its reflection (0, d, c, 0).  Bounds are
-    clamped to the order first, as in `dispatch`.
+    d >= 1 is computed as its reflection (0, d, c, 0).  The pattern is
+    clamped to the order and reflected first, as in `dispatch`.
 
     >>> print(block_series((1, 0, 1, 0), 4).coeff(4))
     8+5x+x^2
     >>> print(block_series((2, 0, 0, 1), 5).coeff(5))
     23+13x+6x^2
     """
-    return _block_series(natural_pattern(pattern, order), order)
+    return _block_series(_route(natural_pattern(pattern, order), order).pattern, order)
 
 
 def _block_series(pat, order: int) -> TSeries:
-    """`block_series` for a pattern already checked and clamped."""
+    """`block_series` for a pattern already checked, clamped and reflected."""
     a, b, c, d = pat
     if a + b == 0:
-        if d:
-            return _block_series(swap_b_d(pat), order)
         return solve_q00k0(c, order) if c else catalan_xt_series(order)
     a1 = max(a - 1, 0)
     cats = catalans(order + 1)  # C_0 .. C_{N+1}, every Catalan number read here
     s_b = cats[: max(b - 1, 0)]  # S_{b-2}
     s_d = cats[:d]  # S_{d-1}
-    # the numerator 1 + t (H + T + M) as terms (c, k, u), each c t^k u
+    # the numerator 1 + t K - t lam S, or 1 + t (H + T + M) when nothing
+    # divides, as terms (c, k, u), each c t^k u
     num = [(1, 0, (1,))]
     for k in range(b - 1):
         num.append((cats[k], k + 1, dispatch((a, b - k - 1, c, d), order)))
     lam = None
     for r in range(d):
-        if a == r == 0:  # Q(a', b, c, d) is the pattern itself
-            lam, s = (1,), s_b
-            continue
-        tail = dispatch((a1, b, c, d - r), order)
-        num += [(cats[r], r + 1, tail), (-cats[r], r + 1, s_b)]
-    if a == d == 0:  # the left factor is the pattern itself
-        lam, s = dispatch((0, 0, c, 0), order), s_b
-    elif b == 0:  # the right factor is the pattern itself
-        lam, s = dispatch((a1, 0, c, 0), order), s_d
+        if a == r == 0:  # Q(a', b, c, d) is the pattern: lam = 1, - t S stays
+            lam = (1,)
+        else:
+            num.append((cats[r], r + 1, dispatch((a1, b, c, d - r), order)))
+        num.append((-cats[r], r + 1, s_b))
+    if a == d == 0 or b == 0:  # a factor of M is the pattern: M = lam (Q - S)
+        lam = dispatch((a1, 0, c, 0), order)  # the other factor; a1 = 0 if a = 0
+        s = s_d if b == 0 else s_b
+        num += [(-sj, j + 1, lam) for j, sj in enumerate(s)]
     else:
         left = dispatch((a1, b, c, 0), order)
         left = linear_combination(order, [(1, 0, left), (-1, 0, s_b)])
@@ -312,8 +312,6 @@ def _block_series(pat, order: int) -> TSeries:
         num.append((1, 1, left.__mul__(right, cats[1:])))
     if lam is None:
         return linear_combination(order, num)
-    num.append((-1, 0, s))
     den = linear_combination(order, [(1, 0, (1,)), (-1, 1, lam)])
-    # the proven bound |(Q - S)_n|_1 <= C_n (see block_series)
-    out = den.reciprocal(linear_combination(order, num), cats[:-1])
-    return linear_combination(order, [(1, 0, out), (1, 0, s)])
+    # the proven bound |Q_n|_1 = C_n (see block_series)
+    return den.reciprocal(linear_combination(order, num), cats[:-1])

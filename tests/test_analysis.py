@@ -197,6 +197,20 @@ def test_every_family_holds_past_its_registry_parameters():
     assert report.all_passed, str(report)
 
 
+def test_family_names_stay_distinct_at_two_digit_parameters():
+    # at p = 11, 1p01 and p101 would both read 11101: a two-digit parameter
+    # writes the pattern with commas, and one-digit names keep their digits
+    checks = [
+        analysis._family_check(row, p)
+        for row in _families()
+        for p in range(row[3][0], 17)
+    ]
+    names = [c.name for c in checks]
+    assert len(checks) == len(set(names)) == 204
+    assert "1,11,0,1-top" in names and "11,1,0,1-top" in names
+    assert "1901-top" in names and "1,10,0,1-top" in names
+
+
 def test_second_families_fail_at_parameter_one():
     # the general "-second" forms are wrong at p = 1, which is why each has
     # a row of its own there and its family row starts at 2

@@ -166,16 +166,18 @@ def _reference_fill(memo, x, n, a, b, c, d):
                     memo[key] = acc
 
 
-def _memo_after(*requests):
+def _memo_after(*requests, since=0):
     """The recursion memo after cold requests in turn, the reference's pairs
     at x = +2^h and x = -2^h for the limb the memo ends with, and the
-    requests' results."""
+    requests' results.  The reference fills the requests from index
+    ``since`` on: the one whose length the limb cannot hold drops the
+    memo."""
     clear_recursion_memo()
     results = [q_poly_recursive(n, pat) for n, pat in requests]
     x = 1 << dist_engine._half(dist_engine._limb)
     plus: dict = {}
     minus: dict = {}
-    for n, pat in requests:
+    for n, pat in requests[since:]:
         _reference_fill(plus, x, n, *natural_pattern(pat, n))
         _reference_fill(minus, -x, n, *natural_pattern(pat, n))
     assert plus.keys() == minus.keys()
@@ -206,23 +208,35 @@ def test_fill_matches_the_reference_loop(data):
     first = data.draw(fill_requests())
     second = data.draw(fill_requests(c=first[1][2]))  # often reads warm rows
     new, ref, _ = _memo_after(first)
-    assert new.keys() == ref.keys() and new == ref
-    new, ref, _ = _memo_after(first, second)
-    assert new.keys() == ref.keys() and new == ref
+    assert list(new) == list(ref) and new == ref
+    # a longer second request drops the rows of the first
+    new, ref, _ = _memo_after(first, second, since=int(0 < first[0] < second[0]))
+    assert list(new) == list(ref) and new == ref
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.data())
-def test_a_longer_request_widens_the_warm_memo_once(data):
+def test_a_longer_request_drops_the_warm_memo_once(data):
     first = data.draw(fill_requests(n_min=1, n_max=23))
     longer = data.draw(fill_requests(c=first[1][2], n_min=first[0] + 1))
     requests = [first, longer] + data.draw(st.lists(fill_requests(), max_size=1))
-    new, ref, results = _memo_after(*requests)
+    new, ref, results = _memo_after(*requests, since=1)
     assert dist_engine._limb == _width(catalan(RECURSION_N_MAX))
-    assert list(new) == list(ref) and new == ref  # re-encoded in place, in order
+    assert list(new) == list(ref) and new == ref  # refilled from the longer on
     for (n, pat), q in zip(requests, results):
         clear_recursion_memo()
         assert q == q_poly_recursive(n, pat), (n, pat)
+
+
+def test_a_longer_request_drops_the_rows_of_the_shorter():
+    # every row of the box (1,0,0,1) at n = 10 has c = 0, and no row of the
+    # longer box (2,2,1,2) does: none may survive the drop
+    clear_recursion_memo()
+    q_poly_recursive(10, (1, 0, 0, 1))
+    want = q_poly_recursive(30, (2, 2, 1, 2))
+    assert dist_engine._memo and not [k for k in dist_engine._memo if k[3] == 0]
+    clear_recursion_memo()
+    assert q_poly_recursive(30, (2, 2, 1, 2)) == want
 
 
 def test_a_cleared_memo_is_sized_for_its_next_request():

@@ -170,9 +170,10 @@ def test_block_series_carries_sound_bounds(pat, order):
 @example((2, 0, 3, 4), 30)  # b = 0: the right factor is divided out
 def test_the_block_identity_bounds_hold(pat, order):
     """The bounds `block_series` gives its product and its division, checked
-    on the series themselves, rebuilt from `dispatch` and read back at a
-    width of their own: the factors of M and the quotient Q - S are
-    nonnegative with |.|_1 <= C_n at t^n, so |M_n|_1 <= C_{n+1}."""
+    on the series themselves: the factors of M, rebuilt from `dispatch` and
+    read back at a width of their own, and the quotient Q, read back at the
+    bounds the division gave it, are nonnegative with |.|_1 <= C_n at t^n,
+    so |M_n|_1 <= C_{n+1}."""
     a, b, c, d = choose_route(pat, order).pattern
     cats = perm_core.catalans(order + 1)
 
@@ -189,8 +190,8 @@ def test_the_block_identity_bounds_hold(pat, order):
     assert all(m <= cats[n] for n, m in enumerate(norms(left)))
     assert all(m <= cats[n] for n, m in enumerate(norms(right)))
     assert all(m <= cats[n + 1] for n, m in enumerate(norms(left * right)))
-    if a + b and (a == 0 or b == 0):  # block_series divides: Q - S is its quotient
-        quotient = minus(dispatch((a, b, c, d), order), s_b if a == 0 else s_d)
+    if a + b and (a == 0 or b == 0):  # block_series divides: Q is its quotient
+        quotient = block_series((a, b, c, d), order)  # read at its carried bounds
         assert all(m <= cats[n] for n, m in enumerate(norms(quotient)))
 
 
