@@ -63,9 +63,11 @@ n-i >= d, in which case the product picks up one factor x:
     Q_n^{(a,b,c,d)} = sum_{i=1}^{n} w_i * Q_{i-1}^{(a-.-1, b, c, d-.-(n-i))}
                                         * Q_{n-i}^{(a, b-.-i, c, d)},
 
-with w_i = x on a match of n, else 1, and Q_0 = 1.  Since a length-m
-factor never distinguishes bounds above m, keys are memoized with b and d
-clamped to min(., m), which keeps the table small.
+with w_i = x on a match of n, else 1, and Q_0 = 1.  A position sees n-1
+other points, so for n <= a+b+c+d none matches and Q_n = C_n: such a
+request, n = 0 among them, is answered so and fills no table.  Since a
+length-m factor never distinguishes bounds above m, keys are memoized
+with b and d clamped to min(., m), which keeps the table small.
 
 The recursion is evaluated as an iterative table fill over increasing
 length (no call-stack recursion).  Each row is kept as its values at two
@@ -100,9 +102,9 @@ Both divisions are checked to be exact, else ArithmeticError.  All
 coefficients are nonnegative and a row of length m sums to the Catalan
 number C_m, so every coefficient of every row up to length n is at most
 C_n.  The memo's limb is `poly_series._width(C_n)`, the width rule the
-series kernel uses, sized for the first request on an empty memo, and
-h = ceil(limb / 2), so that 2h >= limb.  A longer request that the limb
-cannot hold drops the memo and refills it at the width for
+series kernel uses, sized for the first request that fills an empty memo,
+and h = ceil(limb / 2), so that 2h >= limb.  A longer request that the
+limb cannot hold drops the memo and refills it at the width for
 RECURSION_N_MAX, so a loop over increasing n refills at most once before
 the next clear.
 """
@@ -117,7 +119,7 @@ from types import ModuleType
 
 from .mmp_stat import natural_pattern
 from .perm_core import ResourceLimitError, catalan, check_enumeration, checked_length
-from .poly_series import ONE, TSeries, XPoly, _unpack, _width
+from .poly_series import TSeries, XPoly, _unpack, _width
 
 
 def _lazy_import(name: str) -> ModuleType:
@@ -278,8 +280,8 @@ def q_poly_recursive(n: int, pat) -> XPoly:
     global _limb
     a, b, c, d = natural_pattern(pat, n)
     _check_length(n)
-    if n == 0:
-        return ONE
+    if a + b + c + d >= n:  # no position can see that many points
+        return XPoly((catalan(n),))
     if not _memo:
         _limb = _width(catalan(n))
     elif _width(catalan(n)) > _limb:  # drop it, widen to the longest length accepted
@@ -294,8 +296,8 @@ def q_series_recursive(pat, N: int) -> TSeries:
 
     The rows are read longest first: the read of length N checks the
     order, sizes the limb from C_N and fills the box before any shorter
-    row is read, and the shorter reads find their rows, except at lengths
-    n < c, whose rows clamp c to n.
+    row is read, and the shorter reads find their rows.  A length that
+    clamps a bound cannot match, and reads no row.
     """
     pat = natural_pattern(pat, N)
     rows = [q_poly_recursive(n, pat) for n in range(N, -1, -1)]
@@ -443,8 +445,6 @@ def q_poly_bruteforce(n: int, pat) -> XPoly:
     """
     a, b, c, d = natural_pattern(pat, n)
     check_enumeration(n)
-    if n == 0:
-        return ONE
     hist = [0] * (n + 1)
     # at 0-based position p with value v: n - v points lie above, p to the
     # left and n - 1 - p to the right; bounds are clamped to n, and no length

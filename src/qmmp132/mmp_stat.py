@@ -102,7 +102,8 @@ def natural_pattern(pat, n: int) -> tuple[int, int, int, int]:
     first, and n a nonnegative int (a length or a series order).  Each
     bound is clamped to n: a position of a length-n permutation sees n-1
     other points, so every bound of n or more is equally unsatisfiable,
-    and clamping keeps tables small for outlandish bounds.
+    and clamping keeps brute force's counts in int8 and gives the formula
+    route one cache key for all of them.
 
     >>> natural_pattern((1, 99, 0, 2), 5)
     (1, 5, 0, 2)

@@ -154,9 +154,6 @@ class XPoly:
         return "".join(parts)
 
 
-ONE = XPoly((1,))
-
-
 # ---------------------------------------------------------------------------
 # the packed kernel
 

@@ -69,10 +69,22 @@ def test_engines_agree_on_wider_grid():
 
 
 def test_saturation_below_total_bound():
-    """No position can match while n <= a+b+c+d, so Q_n is the constant C_n."""
+    """No position can match while n <= a+b+c+d, so Q_n is the constant C_n,
+    read from no table: a cleared memo stays empty and unsized."""
     for pat in natural_patterns(3):
         for n in range(min(sum(pat), 8) + 1):
+            clear_recursion_memo()
             assert q_poly_recursive(n, pat) == XPoly((catalan(n),)), (n, pat)
+            assert dist_engine._memo == {} and dist_engine._limb == 0, (n, pat)
+
+
+def test_a_series_fills_only_the_lengths_that_can_match():
+    # every length n <= 44 clamps c = 40 or cannot match, so it fills nothing:
+    # the one box is that of (64, (2, 2, 40, 2)), every row of it at c = 40
+    clear_recursion_memo()
+    q_series_recursive((2, 2, 40, 2), 64)
+    assert len(dist_engine._memo) == 1_713
+    assert all(key[3] == 40 for key in dist_engine._memo)
 
 
 def test_total_count_identity():
@@ -137,6 +149,8 @@ def test_series_limits_fail_before_any_row_is_filled():
         q_series_recursive((3, 3, 3, 3), 70)
     with pytest.raises(ResourceLimitError):
         q_poly_recursive(RECURSION_N_MAX + 1, (3, 3, 3, 3))
+    with pytest.raises(ResourceLimitError):  # no match, but still past the limit
+        q_poly_recursive(RECURSION_N_MAX + 1, (RECURSION_N_MAX + 1, 0, 0, 0))
     with pytest.raises(ValueError):
         q_series_recursive((3, 3, 3, 3), -1)
     assert dist_engine._memo == {}
@@ -170,14 +184,14 @@ def _memo_after(*requests, since=0):
     """The recursion memo after cold requests in turn, the reference's pairs
     at x = +2^h and x = -2^h for the limb the memo ends with, and the
     requests' results.  The reference fills the requests from index
-    ``since`` on: the one whose length the limb cannot hold drops the
-    memo."""
+    ``since`` on, the one that drops the memo, and skips those that cannot
+    match, which fill nothing."""
     clear_recursion_memo()
     results = [q_poly_recursive(n, pat) for n, pat in requests]
     x = 1 << dist_engine._half(dist_engine._limb)
     plus: dict = {}
     minus: dict = {}
-    for n, pat in requests[since:]:
+    for n, pat in filter(_can_match, requests[since:]):
         _reference_fill(plus, x, n, *natural_pattern(pat, n))
         _reference_fill(minus, -x, n, *natural_pattern(pat, n))
     assert plus.keys() == minus.keys()
@@ -185,19 +199,29 @@ def _memo_after(*requests, since=0):
     return dict(dist_engine._memo), ref, results
 
 
+def _can_match(request) -> bool:
+    """Whether some position of some length-n permutation can match: only
+    then does the request fill the memo."""
+    n, pat = request
+    return sum(natural_pattern(pat, n)) < n
+
+
 _ROWS_PER_CASE = 3000
 
 
 @st.composite
 def fill_requests(draw, c=None, n_min=0, n_max=24):
-    """(n, pattern), n_min <= n <= n_max and bounds up to n + 2, filling at
-    most _ROWS_PER_CASE rows: c > n and b, d above the row length both occur."""
+    """(n, pattern), n_min <= n <= n_max, filling at most _ROWS_PER_CASE
+    rows.  Most draws can match, a + b + c + d < n, and so reach rows whose
+    length m is below c, b or d; the rest have bounds up to n + 2 in sum."""
     n = draw(st.integers(n_min, n_max))
-    b, d = draw(st.integers(0, n + 2)), draw(st.integers(0, n + 2))
+    room = n + 2 if draw(st.integers(0, 3)) == 3 else n - 1
     if c is None:
-        c = draw(st.integers(0, n + 2))
+        c = draw(st.integers(0, max(room, 0)))
+    b = draw(st.integers(0, max(room - c, 0)))
+    d = draw(st.integers(0, max(room - c - b, 0)))
     per_a = sum((min(b, m) + 1) * (min(d, m) + 1) for m in range(1, n + 1))
-    a_max = min(n + 2, _ROWS_PER_CASE // max(per_a, 1) - 1)
+    a_max = min(room - c - b - d, _ROWS_PER_CASE // max(per_a, 1) - 1)
     a = draw(st.integers(0, max(a_max, 0)))
     return n, (a, b, c, d)
 
@@ -209,16 +233,20 @@ def test_fill_matches_the_reference_loop(data):
     second = data.draw(fill_requests(c=first[1][2]))  # often reads warm rows
     new, ref, _ = _memo_after(first)
     assert list(new) == list(ref) and new == ref
-    # a longer second request drops the rows of the first
-    new, ref, _ = _memo_after(first, second, since=int(0 < first[0] < second[0]))
+    # a longer second request that can match drops the rows of a first that can
+    drops = _can_match(first) and _can_match(second) and first[0] < second[0]
+    new, ref, _ = _memo_after(first, second, since=int(drops))
     assert list(new) == list(ref) and new == ref
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_a_longer_request_drops_the_warm_memo_once(data):
-    first = data.draw(fill_requests(n_min=1, n_max=23))
-    longer = data.draw(fill_requests(c=first[1][2], n_min=first[0] + 1))
+    # both can match, so the first sizes the limb and the longer drops it
+    first = data.draw(fill_requests(n_min=1, n_max=23).filter(_can_match))
+    longer = data.draw(
+        fill_requests(c=first[1][2], n_min=first[0] + 1).filter(_can_match)
+    )
     requests = [first, longer] + data.draw(st.lists(fill_requests(), max_size=1))
     new, ref, results = _memo_after(*requests, since=1)
     assert dist_engine._limb == _width(catalan(RECURSION_N_MAX))
@@ -251,7 +279,7 @@ def test_a_cleared_memo_is_sized_for_its_next_request():
 
 
 def test_series_equals_the_per_n_reads_cold_and_warm():
-    # c = 5 is above the first lengths, whose rows clamp c to n
+    # no length up to 8 = a + b + c + d can match: those fill no rows
     pat, N = (1, 0, 5, 2), 12
     expected = []
     for n in range(N + 1):
@@ -261,14 +289,15 @@ def test_series_equals_the_per_n_reads_cold_and_warm():
     assert list(q_series_recursive(pat, N).coeffs) == expected  # cold
     assert list(q_series_recursive(pat, N).coeffs) == expected  # warm
     clear_recursion_memo()
-    q_poly_recursive(3, pat)  # a warm memo sized for a shorter length
+    q_poly_recursive(9, pat)  # a warm memo sized for a shorter length
+    assert dist_engine._limb == _width(catalan(9))
     assert list(q_series_recursive(pat, N).coeffs) == expected
     assert dist_engine._limb == _width(catalan(RECURSION_N_MAX))
 
 
 def test_fill_matches_the_reference_loop_on_a_large_box():
-    new, ref, _ = _memo_after((24, (8, 8, 8, 8)))
-    assert len(new) == 14_220
+    new, ref, _ = _memo_after((27, (8, 8, 2, 8)))
+    assert len(new) == 16_407
     assert new == ref
 
 
