@@ -9,6 +9,8 @@ structural recursion on the position of the maximal value, and closed
 generating-function formulas.  All arithmetic is exact.
 """
 
+import types
+
 from .perm_core import (
     DEFAULT_ENUM_CAP,
     ResourceLimitError,
@@ -74,42 +76,11 @@ def __dir__() -> list[str]:
     return sorted(globals().keys() | _ANALYSIS)
 
 
+# every public name once: the eager ones as imported above, less the
+# submodules that the relative imports bind, then the lazy ones
 __all__ = [
-    "DEFAULT_ENUM_CAP",
-    "ResourceLimitError",
-    "avoids_132",
-    "catalan",
-    "contains_classical",
-    "gen_avoiders",
-    "inverse",
-    "parse_perm",
-    "format_perm",
-    "reduce_word",
-    "EMPTY",
-    "make_pattern",
-    "parse_pattern",
-    "format_pattern",
-    "matches_at",
-    "mmp_count",
-    "swap_b_d",
-    "quadrant_counts",
-    "TSeries",
-    "XPoly",
-    "catalan_series",
-    "catalan_xt_series",
-    "solve_q00k0",
-    "q_poly_bruteforce",
-    "q_poly_recursive",
-    "q_series_recursive",
-    "Route",
-    "choose_route",
-    "dispatch",
-    "q_poly_gf",
-    "avoidance_sequence",
-    "check_closed_forms",
-    "classical_equivalence_check",
-    "cross_validate",
-    "default_registry",
-    "export_sequence",
-    "top_coeff_report",
-]
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+] + sorted(_ANALYSIS)
+del types

@@ -122,20 +122,13 @@ def quadrant_counts(p: Sequence[int], i: int) -> tuple[int, int, int, int]:
     if not 1 <= i <= n:
         raise IndexError(f"position {i} out of range 1..{n}")
     v = p[i - 1]
-    q1 = q2 = q3 = q4 = 0
-    for j in range(n):
-        w = p[j]
-        if j >= i:  # positions strictly right of i (j is 0-based)
-            if w > v:
-                q1 += 1
-            elif w < v:
-                q4 += 1
-        elif j < i - 1:  # strictly left
-            if w > v:
-                q2 += 1
-            elif w < v:
-                q3 += 1
-    return q1, q2, q3, q4
+    left, right = p[: i - 1], p[i:]
+    return (
+        sum(w > v for w in right),
+        sum(w > v for w in left),
+        sum(w < v for w in left),
+        sum(w < v for w in right),
+    )
 
 
 def _meets(counts: tuple[int, int, int, int], pat: MmpPattern) -> bool:
