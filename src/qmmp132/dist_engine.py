@@ -90,9 +90,19 @@ product of a slice and a reversed slice, summed in C; when a' = b' = 0 it
 is split at i = c + 1 and the part where n matches is multiplied by the
 point, +2^h or -2^h.  Only the edge terms are summed by an interpreted
 loop.  Every sum runs once per point, with the same slices and regimes.
-Inversion swaps the b and d bounds and keeps Q_m, so a row
-(m, a', b', c, d') with b' > d' takes the row (m, a', d', c, b') when the
-memo has it: the same object, with no sum at all.
+Three proven equalities let a row take an object the memo already holds,
+with no sum at all:
+
+1. no match: a row with a' + b' + c + d' >= m is the constant C_m, so
+   every such row of length m shares one (C_m, C_m) pair;
+2. reflection: inversion swaps the b and d bounds and keeps Q_m, so a row
+   (m, a', b', c, d') with b' > d' takes the row (m, a', d', c, b');
+3. the block identity: Q(1, 0, c, e-1) = Q(0, 0, c, e) for e >= 1 (proved
+   in gf_formulas.block_series), so a row (m, 1, b', c, d') with b'd' = 0
+   takes (m, 0, 0, c, e) or (m, 0, e, c, 0), e = b' + d' + 1.
+
+Rules 2 and 3 apply when the memo holds that row.  The memo's keys, their
+order and their values are those of a fill that sums every row.
 
 A row (p, q) = (P(2^h), P(-2^h)) is read through the even and odd parts
 of P(x) = E(x^2) + x O(x^2): (p + q) / 2 = E(2^(2h)) and
@@ -152,11 +162,14 @@ _limb = 0  # width(C_n) of the longest length held: every coefficient's bound
 
 
 def _fill(n: int, a: int, b: int, c: int, d: int) -> None:
-    """Ensure memo rows for every state reachable from (a,b,c,d) up to length n.
+    """Ensure memo rows for the whole box (m, a', b', c, d'), m <= n,
+    a' <= a, b' <= min(b, m), d' <= min(d, m).
 
     Each row is the pair of its values at x = +2^h and x = -2^h,
     h = _half(_limb), and every sum is run once per point (see _sum), on
-    that point's values of its factors.  While it runs,
+    that point's values of its factors.  A row that a proven equality
+    gives (see the module docstring) takes that row's object instead.
+    While it runs,
     ``fams[s][a'][b'][d'][k]`` is component s of
     ``_memo[(k, a', min(b',k), c, min(d',k))]`` (1 at k = 0), grown by one
     entry per length, so every factor of a sum is a list read.
@@ -181,6 +194,7 @@ def _fill(n: int, a: int, b: int, c: int, d: int) -> None:
                         row_q.append(q)
         if (m, a, min(b, m), c, min(d, m)) in _memo:
             continue  # its top row is written last: the length is complete
+        no_match = (catalan(m), catalan(m))  # C_m at both points
         for aa in range(a + 1):
             for bb in range(min(b, m) + 1):
                 lo = max(bb, 1)  # from i = lo on, the right factor's b is spent
@@ -188,11 +202,13 @@ def _fill(n: int, a: int, b: int, c: int, d: int) -> None:
                     key = (m, aa, bb, c, dd)
                     if key in _memo:
                         continue
-                    if bb > dd:  # inversion swaps the b and d bounds, keeping Q_m
-                        twin = _memo.get((m, aa, dd, c, bb))
-                        if twin is not None:
-                            _memo[key] = twin
-                            continue
+                    if aa + bb + c + dd >= m:  # no position sees that many points
+                        _memo[key] = no_match
+                        continue
+                    equal = _equal_row(m, aa, bb, c, dd)
+                    if equal is not None:
+                        _memo[key] = equal
+                        continue
                     hi = m - dd  # up to i = hi, the left factor's d is spent
                     mid = min(lo, hi + 1)  # the middle regime is mid..hi
                     # n matches from i = split on when a' = b' = 0; 0: never
@@ -201,6 +217,21 @@ def _fill(n: int, a: int, b: int, c: int, d: int) -> None:
                         _sum(fams[0], aa, bb, dd, m, mid, split, hi, x),
                         _sum(fams[1], aa, bb, dd, m, mid, split, hi, -x),
                     )
+
+
+def _equal_row(m: int, aa: int, bb: int, c: int, dd: int) -> tuple[int, int] | None:
+    """A held row that a proven equality gives the value of (m, aa, bb, c, dd),
+    or None: its reflection twin (m, aa, dd, c, bb) when bb > dd, and for
+    aa = 1 with bb * dd = 0 the row (m, 0, 0, c, e) or (m, 0, e, c, 0),
+    e = bb + dd + 1 (see gf_formulas.block_series for the proof)."""
+    if bb > dd:
+        twin = _memo.get((m, aa, dd, c, bb))
+        if twin is not None:
+            return twin
+    if aa == 1 and not bb * dd:
+        e = bb + dd + 1
+        return _memo.get((m, 0, 0, c, e)) or _memo.get((m, 0, e, c, 0))
+    return None
 
 
 def _sum(

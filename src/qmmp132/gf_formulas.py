@@ -270,6 +270,17 @@ def block_series(pattern, order: int) -> TSeries:
     d >= 1 is computed as its reflection (0, d, c, 0).  The pattern is
     clamped to the order and reflected first, as in `dispatch`.
 
+    The identity proves Q(1, 0, c, e-1) = Q(0, 0, c, e) for every e >= 1.
+    Let B = Q(0, 0, c, 0) and K = sum_{r <= e-2} C_r t^r Q(0, 0, c, e-1-r).
+    For P1 = (0, e, c, 0), T is empty, M = (Q(P1) - S_{e-2}) B, and H is K
+    once each Q(0, j, c, 0) is reflected to Q(0, 0, c, j).  For
+    P2 = (1, 0, c, e-1), H is empty, T is K and M = B (Q(P2) - S_{e-2}).
+    So both solve X = 1 + t (K + B (X - S_{e-2})), whose one solution is
+    (1 + t K - t B S_{e-2}) / (1 - t B), and Q(P2) = Q(P1) = Q(0, 0, c, e)
+    at every length.  The recursion's memo shares rows by this equality
+    (see `dist_engine`); `dispatch` and brute force do not use it, so each
+    stays an independent check of it.
+
     >>> print(block_series((1, 0, 1, 0), 4).coeff(4))
     8+5x+x^2
     >>> print(block_series((2, 0, 0, 1), 5).coeff(5))

@@ -306,14 +306,73 @@ def test_reflected_twin_rows_are_shared():
     # object of its twin, and the memo still equals the reference loop's,
     # after a cold fill and after a fill that widens the limb on the way
     pat = (2, 5, 1, 5)
-    cold = len({id(row) for row in _memo_after((40, pat))[0].values()})
-    for requests in [((30, pat),), ((30, pat), (40, pat))]:
+    for requests, objects in [
+        (((40, pat),), 1_912),
+        (((30, pat),), 1_332),
+        (((30, pat), (40, pat)), 1_912),
+    ]:
         new, ref, _ = _memo_after(*requests)
         assert new.keys() == ref.keys() and new == ref
         twins = [(k, (k[0], k[1], k[4], k[3], k[2])) for k in new if k[2] > k[4]]
         assert len(twins) > 1000
         assert all(new[k] is new[t] for k, t in twins)
-        assert len({id(row) for row in new.values()}) <= cold
+        assert len({id(row) for row in new.values()}) == objects
+
+
+def _block_partners(key):
+    """The rows that Q(1, 0, c, e-1) = Q(0, 0, c, e) equates with a row
+    (m, 1, b', c, d'), b'd' = 0, e = b' + d' + 1 (else none)."""
+    m, aa, bb, c, dd = key
+    if aa != 1 or bb * dd:
+        return []
+    e = bb + dd + 1
+    return [(m, 0, 0, c, e), (m, 0, e, c, 0)]
+
+
+def test_rows_with_a_proven_value_share_one_object():
+    # a row with no possible match is C_m, one object per length, and a row
+    # of the block identity is the very object of its partner in the box
+    clear_recursion_memo()
+    q_poly_recursive(40, (8, 8, 8, 8))
+    memo = dist_engine._memo
+    assert len(memo) == 25_884
+    assert len({id(row) for row in memo.values()}) == 7_912
+    no_match = {}
+    for key, row in memo.items():
+        m, aa, bb, c, dd = key
+        if aa + bb + c + dd >= m:
+            assert row == (catalan(m), catalan(m)), key
+            assert no_match.setdefault(m, row) is row, key
+    assert len(no_match) == 32
+    shared = [
+        (key, partner)
+        for key in memo
+        if sum(key[1:]) < key[0]
+        for partner in _block_partners(key)
+        if partner in memo
+    ]
+    assert len(shared) > 400
+    assert all(memo[key] is memo[partner] for key, partner in shared)
+
+
+def test_a_warm_request_shares_a_row_of_the_one_before():
+    # (m, 1, 0, 2, 5) is in the second box only, its partner (m, 0, 6, 2, 0)
+    # in the first only: the second fill takes the first's object
+    new, ref, _ = _memo_after((40, (0, 8, 2, 0)), (40, (1, 0, 2, 5)))
+    assert list(new) == list(ref) and new == ref
+    for m in range(9, 41):
+        assert (m, 0, 0, 2, 6) not in new
+        assert new[(m, 1, 0, 2, 5)] is new[(m, 0, 6, 2, 0)], m
+
+
+def test_the_block_identity_holds_on_brute_force():
+    # Q(1, 0, c, e-1) = Q(0, 0, c, e): the recursion's memo relies on it, and
+    # brute force, which does not, checks it
+    for c in range(3):
+        for e in range(1, 4):
+            for n in range(13):
+                want = q_poly_bruteforce(n, (0, 0, c, e))
+                assert q_poly_bruteforce(n, (1, 0, c, e - 1)) == want, (n, c, e)
 
 
 def test_limb_width_holds_every_coefficient():

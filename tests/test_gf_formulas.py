@@ -256,6 +256,14 @@ def test_reflection_symmetry_of_dispatch():
         assert dispatch(pat, 8) == dispatch(swap_b_d(pat), 8), pat
 
 
+def test_the_block_identity_holds_on_dispatch():
+    # Q(1, 0, c, e-1) = Q(0, 0, c, e), proved in block_series's docstring:
+    # the formula route computes the two sides by different routes
+    for c in range(5):
+        for e in range(1, 7):
+            assert dispatch((1, 0, c, e - 1), 40) == dispatch((0, 0, c, e), 40), (c, e)
+
+
 @st.composite
 def lengths_and_bounds(draw):
     """n <= 10 with bounds up to n + 3: zero, saturating and unsatisfiable."""
