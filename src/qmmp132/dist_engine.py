@@ -84,12 +84,35 @@ three regimes:
 * i > m - d': the left factor still carries d' - (m - i) in its d bound.
 
 The middle regime, which holds all but at most b' + d' positions, is a
-t-convolution of two fixed families of rows.  The fill keeps each family
-as a list indexed by length, one list per point, so the middle is one dot
-product of a slice and a reversed slice, summed in C; when a' = b' = 0 it
-is split at i = c + 1 and the part where n matches is multiplied by the
+t-convolution of two fixed families of rows: with j = i - 1, the left
+factor is the length-j row of F = (a'-.-1, b', 0) and the right factor
+the length-(m-1-j) row of G = (a', 0, d').  The fill keeps each family as
+a list indexed by length, one list per point.  A family (a, b, d) is the
+constant C_k at every length k < t = a + b + c + d + 1 (rule 1 below), so
+the middle falls into three parts:
+
+* the head, j < t_F, where F is C_j;
+* the tail, m-1-j < t_G, where G is C_{m-1-j};
+* the core, t_F <= j <= m-1-t_G, where both factors can match.
+
+Head and tail are summed for each row, in one C-level pass per point; one
+factor of each term is a small Catalan number.  The core depends only on
+F, G and m, and swapping j and m-1-j maps the core of (F, G) onto that of
+(G, F).  So each length computes one core per unordered pair of family
+keys, and every row of that length with that pair shares it; when the two
+keys are equal the core is twice the sum below the middle plus the middle
+square, as in poly_series._q00k0_terms.  A family key names the family's
+values: (a, b, d) with b <= d, since reflection (rule 2) swaps b and d,
+and (0, 0, b + d + 1) for a = 1 and bd = 0, by the block identity (rule
+3).  Both hold at every length k of the clamped bounds min(b, k) and
+min(d, k): where the clamp changes rule 3's bounds, k <= b + d, both rows
+are C_k.  So the right family (1, 0, d') of a level-1 row is the level-0
+family (0, 0, d' + 1), and level-1 rows reuse the cores of level-0 rows.
+When a' = b' = 0, n matches from i = c + 1 on: the head's last term,
+j = c, then the core (j >= t_F = c + 1) and the tail are multiplied by the
 point, +2^h or -2^h.  Only the edge terms are summed by an interpreted
-loop.  Every sum runs once per point, with the same slices and regimes.
+loop, and both points of a row are summed in one call.
+
 Three proven equalities let a row take an object the memo already holds,
 with no sum at all:
 
@@ -124,6 +147,7 @@ from __future__ import annotations
 import importlib.util
 import sys
 from collections.abc import Iterable, Iterator
+from itertools import product
 from operator import mul
 from types import ModuleType
 
@@ -166,57 +190,62 @@ def _fill(n: int, a: int, b: int, c: int, d: int) -> None:
     a' <= a, b' <= min(b, m), d' <= min(d, m).
 
     Each row is the pair of its values at x = +2^h and x = -2^h,
-    h = _half(_limb), and every sum is run once per point (see _sum), on
-    that point's values of its factors.  A row that a proven equality
-    gives (see the module docstring) takes that row's object instead.
-    While it runs,
-    ``fams[s][a'][b'][d'][k]`` is component s of
-    ``_memo[(k, a', min(b',k), c, min(d',k))]`` (1 at k = 0), grown by one
-    entry per length, so every factor of a sum is a list read.
+    h = _half(_limb), both computed in one _sum call.  A row that a proven
+    equality gives (see the module docstring) takes that row's object
+    instead.  While it runs, ``fams[a'][b'][d']`` is the family (r, t, P, Q)
+    of the rows ``_memo[(k, a', min(b',k), c, min(d',k))]``, k = 0, 1, ...:
+    P and Q list their values at the two points (1 at k = 0), t is
+    sum(key) + c + 1, the first length at which a row can match, and r
+    numbers the family.  Indices with equal family keys (see _family_key)
+    share one family, which takes its row once each length is complete.  A
+    length's cores are kept by pair of family numbers until the length is
+    done.
     """
     if (n, a, b, c, d) in _memo:
         return  # rows go in (m, a', b', d') order: the box is complete
     x = 1 << _half(_limb)
-    fams = [
-        [[[[1] for _ in range(d + 1)] for _ in range(b + 1)] for _ in range(a + 1)]
-        for _ in range(2)
-    ]
+    cat = [catalan(k) for k in range(n + 1)]
+    rcat = cat[::-1]  # C_n down to C_0
+    heads: dict = {}  # family key -> (family, one index (a', b', d') of it)
+    fams = [[[None] * (d + 1) for _ in range(b + 1)] for _ in range(a + 1)]
+    for aa, bb, dd in product(range(a + 1), range(b + 1), range(d + 1)):
+        key = _family_key(aa, bb, dd)
+        if key not in heads:
+            heads[key] = (len(heads), sum(key) + c + 1, [1], [1]), (aa, bb, dd)
+        fams[aa][bb][dd] = heads[key][0]
     for m in range(1, n + 1):
-        if m > 1:  # extend every family by its length-(m-1) row
-            k = m - 1
-            dks = [min(dd, k) for dd in range(d + 1)]
-            for aa, (per_b, per_b_q) in enumerate(zip(*fams)):
-                for bb, (per_d, per_d_q) in enumerate(zip(per_b, per_b_q)):
-                    bk = min(bb, k)
-                    for dk, row, row_q in zip(dks, per_d, per_d_q):
-                        p, q = _memo[(k, aa, bk, c, dk)]
-                        row.append(p)
-                        row_q.append(q)
-        if (m, a, min(b, m), c, min(d, m)) in _memo:
-            continue  # its top row is written last: the length is complete
-        no_match = (catalan(m), catalan(m))  # C_m at both points
+        rows = {}  # this length's rows, by (a', b', d')
+        cores: dict = {}
+        no_match = (cat[m], cat[m])  # C_m at both points
         for aa in range(a + 1):
             for bb in range(min(b, m) + 1):
-                lo = max(bb, 1)  # from i = lo on, the right factor's b is spent
                 for dd in range(min(d, m) + 1):
                     key = (m, aa, bb, c, dd)
-                    if key in _memo:
-                        continue
-                    if aa + bb + c + dd >= m:  # no position sees that many points
-                        _memo[key] = no_match
-                        continue
-                    equal = _equal_row(m, aa, bb, c, dd)
-                    if equal is not None:
-                        _memo[key] = equal
-                        continue
-                    hi = m - dd  # up to i = hi, the left factor's d is spent
-                    mid = min(lo, hi + 1)  # the middle regime is mid..hi
-                    # n matches from i = split on when a' = b' = 0; 0: never
-                    split = min(max(c + 1, mid), hi + 1) if aa == 0 and bb == 0 else 0
-                    _memo[key] = (
-                        _sum(fams[0], aa, bb, dd, m, mid, split, hi, x),
-                        _sum(fams[1], aa, bb, dd, m, mid, split, hi, -x),
-                    )
+                    row = _memo.get(key)
+                    if row is None:
+                        if aa + bb + c + dd >= m:  # no position sees that many points
+                            row = no_match
+                        else:
+                            row = _equal_row(m, aa, bb, c, dd) or _sum(
+                                fams, m, aa, bb, dd, cores, rcat, x
+                            )
+                        _memo[key] = row
+                    rows[aa, bb, dd] = row
+        if m < n:  # the length is complete: every family takes its row
+            for (_, _, p, q), (aa, bb, dd) in heads.values():
+                pq = rows[aa, min(bb, m), min(dd, m)]
+                p.append(pq[0])
+                q.append(pq[1])
+
+
+def _family_key(aa: int, bb: int, dd: int) -> tuple[int, int, int]:
+    """The key of the family of rows (k, aa, min(bb,k), c, min(dd,k)), equal
+    for two families whose rows are equal at every length k: (0, 0, e),
+    e = bb + dd + 1, when aa = 1 and bb * dd = 0 (the block identity),
+    else (aa, bb, dd) with its b and d in increasing order (reflection)."""
+    if aa == 1 and not bb * dd:
+        return (0, 0, bb + dd + 1)
+    return (aa, bb, dd) if bb <= dd else (aa, dd, bb)
 
 
 def _equal_row(m: int, aa: int, bb: int, c: int, dd: int) -> tuple[int, int] | None:
@@ -234,32 +263,82 @@ def _equal_row(m: int, aa: int, bb: int, c: int, dd: int) -> tuple[int, int] | N
     return None
 
 
-def _sum(
-    fam, aa: int, bb: int, dd: int, m: int, mid: int, split: int, hi: int, x: int
-) -> int:
-    """The row (m, aa, bb, c, dd) at the point x, from that point's families:
-    the middle regime mid..hi, its terms from i = split on multiplied by x
-    when split is nonzero, then the edge terms."""
-    lfam = fam[aa - 1 if aa else 0][bb]
-    right = fam[aa]
-    lmid = lfam[0]
-    rmid = right[0][dd]
-    if split:
-        acc = _dot(lmid, rmid, m, mid, split - 1) + _dot(lmid, rmid, m, split, hi) * x
+def _sum(fams, m: int, aa: int, bb: int, dd: int, cores: dict, rcat, x: int):
+    """The row (m, aa, bb, c, dd) at x and -x, as the sum over j = i - 1 of
+    its left factor's length-j row times its right factor's length-(m-1-j)
+    row (see the module docstring).  The middle regime lo..hi reads the
+    families F = fams[aa-.-1][bb][0] and G = fams[aa][0][dd]: it is the head
+    j < t_F, where F is C_j, the core t_F <= j <= m-1-t_G, which every row
+    of the length with the same two families shares through ``cores``, and
+    the tail, where G is C_{m-1-j}; rcat lists the Catalan numbers C_k for
+    k from the longest length down to 0.  When aa = bb = 0 the terms from
+    j = c = t_F - 1 on are multiplied by the point."""
+    left, right = fams[aa - 1 if aa else 0][bb], fams[aa]
+    f, g = left[0], right[0][dd]
+    fr, tf, fp, fq = f
+    gr, tg, gp, gq = g
+    top = m - 1
+    lo, hi = bb - 1 if bb else 0, top - dd  # the middle regime
+    if tf + tg <= top:
+        pair = (fr, gr) if fr <= gr else (gr, fr)
+        core = cores.get(pair)
+        if core is None:
+            core = cores[pair] = _core(f, g, top)
+        p, q = core
     else:
-        acc = _dot(lmid, rmid, m, mid, hi)
-    for i in range(1, mid):
-        acc += lmid[i - 1] * right[bb - i][dd][m - i]
-    for i in range(hi + 1, m + 1):
-        # m - i < dd: no position of the right factor can see dd points
+        p = q = 0
+    # the tail, j = t..hi, reads F[j] * C_{top-j}, and the head, j < t_F,
+    # reads C_j * G[top-j]: one C-level pass per point takes both
+    t = tf if tf + tg > top else m - tg
+    z = len(rcat) - 1  # rcat[z - k] is C_k
+    tail = rcat[z - top + t : z - top + hi + 1]  # C_{top-j}, j = t..hi
+    if aa or bb:
+        cs = rcat[z + 1 - tf : z + 1 - lo] + tail  # C_j, j = t_F-1 down to lo
+        p += sum(map(mul, gp[m - tf : m - lo] + fp[t : hi + 1], cs))
+        q += sum(map(mul, gq[m - tf : m - lo] + fq[t : hi + 1], cs))
+    else:  # n matches from j = c = t_F - 1 on, and the head j < c is unmarked
+        c = tf - 1
+        cs = rcat[z - c : z + 1 - c] + tail
+        head = rcat[z + 1 - c :]  # C_j, j = c-1 down to 0
+        p = sum(map(mul, gp[m - c : m], head)) + x * (
+            p + sum(map(mul, gp[m - tf : m - c] + fp[t : hi + 1], cs))
+        )
+        q = sum(map(mul, gq[m - c : m], head)) - x * (
+            q + sum(map(mul, gq[m - tf : m - c] + fq[t : hi + 1], cs))
+        )
+    for j in range(lo):  # the right factor still carries bb - 1 - j in its b
+        _, _, rp, rq = right[bb - 1 - j][dd]
+        p += fp[j] * rp[top - j]
+        q += fq[j] * rq[top - j]
+    for j in range(hi + 1, m):
+        # top - j < dd: no position of the right factor can see dd points
         # below-right, so its b bound is moot
-        acc += lfam[i - hi][i - 1] * rmid[m - i]
-    return acc
+        _, _, lp, lq = left[j - hi]
+        p += lp[j] * gp[top - j]
+        q += lq[j] * gq[top - j]
+    return p, q
 
 
-def _dot(left: list[int], right: list[int], m: int, lo: int, hi: int) -> int:
-    """sum_{i=lo}^{hi} left[i-1] * right[m-i] in one C-level pass; lo <= hi + 1."""
-    return sum(map(mul, left[lo - 1 : hi], reversed(right[m - hi : m - lo + 1])))
+def _core(f, g, top: int) -> tuple[int, int]:
+    """sum_{j=t_F}^{top-t_G} F[j] * G[top-j] at both points, for families
+    f = (r, t_F, P, Q) and g.  Swapping j and top - j maps it onto the
+    core of (g, f); when f is g it is twice the sum below the middle, plus
+    the middle square when top is even."""
+    _, lo, fp, fq = f
+    _, tg, gp, gq = g
+    if f is not g:
+        hi = top - tg
+        return (
+            sum(map(mul, fp[lo : hi + 1], gp[top - lo : tg - 1 : -1])),
+            sum(map(mul, fq[lo : hi + 1], gq[top - lo : tg - 1 : -1])),
+        )
+    h = (top + 1) // 2  # j < h: below the middle
+    p = 2 * sum(map(mul, fp[lo:h], fp[top - lo : top - h : -1]))
+    q = 2 * sum(map(mul, fq[lo:h], fq[top - lo : top - h : -1]))
+    if not top % 2:
+        p += fp[h] * fp[h]
+        q += fq[h] * fq[h]
+    return p, q
 
 
 def _check_length(n: int) -> None:

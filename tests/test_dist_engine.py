@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -373,6 +374,64 @@ def test_the_block_identity_holds_on_brute_force():
             for n in range(13):
                 want = q_poly_bruteforce(n, (0, 0, c, e))
                 assert q_poly_bruteforce(n, (1, 0, c, e - 1)) == want, (n, c, e)
+
+
+def test_rows_with_the_same_family_pair_share_one_core(monkeypatch):
+    # level-1 rows reuse level-0 cores, and a row whose two families are
+    # one computes half its core: a cold fill computes fewer cores than it
+    # sums rows, each pinned exactly
+    counts = {"_core": 0, "_sum": 0}
+    for name in counts:
+        original = getattr(dist_engine, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(dist_engine, name, counting)
+    for n, pat, cores, summed in [
+        (46, (1, 2, 2, 1), 228, 334),
+        (44, (1, 3, 1, 1), 336, 442),
+    ]:
+        counts.update(_core=0, _sum=0)
+        new, ref, _ = _memo_after((n, pat))
+        assert new == ref
+        assert (counts["_core"], counts["_sum"]) == (cores, summed), (n, pat)
+
+
+def test_fill_matches_the_reference_loop_on_a_grid():
+    # every box a <= 2, b, d <= 3, c <= 2 at n = 24, cold and after another
+    # box with the same c: c = 0 makes the family (0,0,0) C_m x^m, every box
+    # has match-factor rows (a' = b' = 0), whose core is marked, and a >= 1
+    # shares cores between levels 0 and 1.  One reference fill per c serves
+    # every box, since each box's rows are those of (2,3,c,3) in its order.
+    n = 24
+    clear_recursion_memo()
+    q_poly_recursive(n, (2, 3, 0, 3))
+    x = 1 << dist_engine._half(dist_engine._limb)
+    for c in range(3):
+        plus: dict = {}
+        minus: dict = {}
+        _reference_fill(plus, x, n, 2, 3, c, 3)
+        _reference_fill(minus, -x, n, 2, 3, c, 3)
+        if c == 0:  # the family (0,0,0): C_m x^m
+            lengths = range(1, n + 1)
+            assert all(plus[(m, 0, 0, 0, 0)] == catalan(m) * x**m for m in lengths)
+
+        def box(a, b, d):
+            return [k for k in plus if k[1] <= a and k[2] <= b and k[4] <= d]
+
+        for a, b, d in product(range(3), range(4), range(4)):
+            cold = box(a, b, d)
+            warm = box(2 - a, 3 - b, d)  # of (2-a, 3-b, c, d), never this box
+            held = set(warm)
+            warm += [k for k in cold if k not in held]
+            for first, want in [((), cold), (((2 - a, 3 - b, c, d),), warm)]:
+                clear_recursion_memo()
+                for pat in first + ((a, b, c, d),):
+                    q_poly_recursive(n, pat)
+                assert list(dist_engine._memo) == want, (first, a, b, c, d)
+                assert all(dist_engine._memo[k] == (plus[k], minus[k]) for k in want)
 
 
 def test_limb_width_holds_every_coefficient():
