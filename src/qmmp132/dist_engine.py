@@ -111,7 +111,7 @@ family (0, 0, d' + 1), and level-1 rows reuse the cores of level-0 rows.
 When a' = b' = 0, n matches from i = c + 1 on: the head's last term,
 j = c, then the core (j >= t_F = c + 1) and the tail are multiplied by the
 point, +2^h or -2^h.  Only the edge terms are summed by an interpreted
-loop, and both points of a row are summed in one call.
+loop, and one call sums a row at every point of its pass.
 
 Three proven equalities let a row take an object the memo already holds,
 with no sum at all:
@@ -126,6 +126,30 @@ with no sum at all:
 
 Rules 2 and 3 apply when the memo holds that row.  The memo's keys, their
 order and their values are those of a fill that sums every row.
+
+The two points never read each other, so a large box is filled by two
+processes at once.  _fill weighs a box by the sum of m^3 over its keys: a
+row of length m sums about m products of operands about m limbs wide, each
+about m^2 limb products.  At _FORK_WORK or more, where os.fork exists, it
+forks once.  The child fills the rows at -2^h with the cyclic GC off: it
+never needs the collector, since it exits after the pass, and a collection
+would walk the objects it inherits and so copy every page it touches.  It
+sends the values of the rows it sums, in key order, down a pipe, one
+marshal blob per length.  The parent fills +2^h, reads each length's blob
+before that length, and stores each row it sums as a whole pair, so its
+memo holds the same keys, order, values and shared objects as a
+one-process fill.  The rows summed are the same in both processes, since
+the three rules read the memo that the fork shares.  One fill loop,
+_points, and one _sum and _core serve all three roles: both points, +2^h
+only and -2^h only.  In each family the list of a point that a process
+does not compute is None, and _sum and _core return None for it.  The parent
+reaps the child before _fill returns, on every path; if the child fails,
+its pipe ends early, and the parent finishes the box alone from the whole
+pairs it holds.  A fork costs about 1 ms on a 2-core host with numpy
+loaded, a pass at one point takes 53-73% of the time of a pass at both,
+the interpreted part of a row being the same, and the pairing costs the
+parent a little more, so a small box stays in one process (see _FORK_WORK
+for the requests measured on each side).
 
 A row (p, q) = (P(2^h), P(-2^h)) is read through the even and odd parts
 of P(x) = E(x^2) + x O(x^2): (p + q) / 2 = E(2^(2h)) and
@@ -145,6 +169,8 @@ the next clear.
 from __future__ import annotations
 
 import importlib.util
+import marshal
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import product
@@ -181,6 +207,18 @@ RECURSION_N_MAX = 64
 _memo: dict[tuple[int, int, int, int, int], tuple[int, int]] = {}
 _limb = 0  # width(C_n) of the longest length held: every coefficient's bound
 
+#: the least work, the sum of m^3 over a box's keys, that _fill splits between
+#: two processes.  Measured on a 2-core host with numpy loaded, best of 21
+#: cold fills in one process / in two, work in millions: below it,
+#: (3,3,2,3) at n = 30 (13.8) 8.5 / 10.0 ms, (1,1,1,3) at 44 (15.7) 7.9 /
+#: 8.8 ms, (2,2,1,2) at 40 (18.2) 9.0 / 9.7 ms, (2,2,2,2) at 44 (26.5)
+#: 11.2 / 10.9 ms, (4,4,4,4) at 30 (27.0) 13.4 / 14.0 ms and (3,3,3,3) at 36
+#: (28.4) 12.3 / 12.3 ms; above it, (1,2,1,3) at 48 (33.2) 14.1 / 12.7 ms,
+#: (1,1,1,1) at 64 (34.6) 20.9 / 15.7 ms, (4,4,4,4) at 36 (55.4) 20.5 /
+#: 18.8 ms, (2,2,2,6) at 44 (61.7) 28.0 / 22.2 ms, (8,8,8,8) at 40 (490)
+#: 94 / 78 ms and (4,2,4,8) at 64 (584) 256 / 156 ms.
+_FORK_WORK = 30_000_000
+
 # ---------------------------------------------------------------------------
 # structural recursion
 
@@ -190,20 +228,81 @@ def _fill(n: int, a: int, b: int, c: int, d: int) -> None:
     a' <= a, b' <= min(b, m), d' <= min(d, m).
 
     Each row is the pair of its values at x = +2^h and x = -2^h,
-    h = _half(_limb), both computed in one _sum call.  A row that a proven
-    equality gives (see the module docstring) takes that row's object
-    instead.  While it runs, ``fams[a'][b'][d']`` is the family (r, t, P, Q)
-    of the rows ``_memo[(k, a', min(b',k), c, min(d',k))]``, k = 0, 1, ...:
-    P and Q list their values at the two points (1 at k = 0), t is
-    sum(key) + c + 1, the first length at which a row can match, and r
-    numbers the family.  Indices with equal family keys (see _family_key)
-    share one family, which takes its row once each length is complete.  A
-    length's cores are kept by pair of family numbers until the length is
-    done.
+    h = _half(_limb), filled by _points in one of three roles.  A box whose
+    work, the sum of m^3 over its keys, is below _FORK_WORK, or a host
+    without os.fork, takes one pass at both points.  A larger box forks
+    once (_fill_forked): the child takes the pass at -x only, with the
+    cyclic GC off, and this process the pass at +x only, which pairs each
+    row it sums with the child's value (see the module docstring).  The
+    child is reaped before this returns, on every path; if it fails, this
+    process finishes the box at both points, from the whole pairs it
+    already holds.
     """
     if (n, a, b, c, d) in _memo:
         return  # rows go in (m, a', b', d') order: the box is complete
-    x = 1 << _half(_limb)
+    box = (n, a, b, c, d, 1 << _half(_limb))
+    work = (a + 1) * sum(m**3 * (min(b, m) + 1) * (min(d, m) + 1) for m in range(n + 1))
+    if work < _FORK_WORK or not hasattr(os, "fork") or not _fill_forked(box):
+        _points(*box, True, True, None)
+
+
+def _fill_forked(box: tuple) -> bool:
+    """Fill _fill's box at -x in a forked child and at +x here, pairing
+    each summed row with the child's value, and reap the child.  True when
+    the box is complete; False when no child could be forked or the child
+    failed, and then every row held is a whole pair."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return False
+    if not pid:  # the child, which never returns
+        code = 1
+        try:
+            os.close(r)
+            import gc  # built in: loading it reads no file
+
+            gc.disable()  # a collection would walk, and so copy, inherited pages
+            with open(w, "wb") as link:
+                _points(*box, False, True, link)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        with open(r, "rb") as link:
+            _points(*box, True, False, link)
+        return True
+    except EOFError:  # the child's pipe ended early
+        return False
+    finally:
+        os.waitpid(pid, 0)
+
+
+def _points(
+    n: int, a: int, b: int, c: int, d: int, x: int, plus: bool, minus: bool, link
+) -> None:
+    """The fill loop of _fill's box at x (``plus``), at -x (``minus``), or
+    at both: _fill's three roles.
+
+    ``fams[a'][b'][d']`` is the family (r, t, P, Q) of the rows
+    ``_memo[(k, a', min(b',k), c, min(d',k))]``, k = 0, 1, ...: P and Q list
+    their values at x and -x (1 at k = 0), and the list of a point this
+    pass does not compute is None.  t is sum(key) + c + 1, the first length
+    at which a row can match, and r numbers the family.  Indices with equal
+    family keys (see _family_key) share one family, which takes its row
+    once each length is complete.  A length's cores are kept by pair of
+    family numbers until the length is done.
+
+    With one point, ``link`` is the pipe between the two processes.  The
+    pass at -x writes the values of the rows it sums, in key order, as one
+    marshal blob per length, each after its 8-byte size, and keeps
+    (None, q) rows in its own memo, which ends with its process.  The pass
+    at x reads each length's blob before that length and pairs each row it
+    sums with the next value; a pipe that ends early raises EOFError.
+    """
     cat = [catalan(k) for k in range(n + 1)]
     rcat = cat[::-1]  # C_n down to C_0
     heads: dict = {}  # family key -> (family, one index (a', b', d') of it)
@@ -211,9 +310,14 @@ def _fill(n: int, a: int, b: int, c: int, d: int) -> None:
     for aa, bb, dd in product(range(a + 1), range(b + 1), range(d + 1)):
         key = _family_key(aa, bb, dd)
         if key not in heads:
-            heads[key] = (len(heads), sum(key) + c + 1, [1], [1]), (aa, bb, dd)
+            lists = [1] if plus else None, [1] if minus else None
+            heads[key] = (len(heads), sum(key) + c + 1, *lists), (aa, bb, dd)
         fams[aa][bb][dd] = heads[key][0]
     for m in range(1, n + 1):
+        if not minus:  # the child's values at -x of this length's summed rows
+            size = int.from_bytes(link.read(8), "little")
+            theirs = iter(marshal.loads(link.read(size)))  # short: EOFError
+        ours = []  # this length's summed values at -x, sent when not plus
         rows = {}  # this length's rows, by (a', b', d')
         cores: dict = {}
         no_match = (cat[m], cat[m])  # C_m at both points
@@ -226,16 +330,28 @@ def _fill(n: int, a: int, b: int, c: int, d: int) -> None:
                         if aa + bb + c + dd >= m:  # no position sees that many points
                             row = no_match
                         else:
-                            row = _equal_row(m, aa, bb, c, dd) or _sum(
-                                fams, m, aa, bb, dd, cores, rcat, x
-                            )
+                            row = _equal_row(m, aa, bb, c, dd)
+                            if row is None:
+                                row = _sum(fams, m, aa, bb, dd, cores, rcat, x)
+                                if link:  # one point: paired at x, sent from -x
+                                    if plus:
+                                        row = row[0], next(theirs)
+                                    else:
+                                        ours.append(row[1])
                         _memo[key] = row
                     rows[aa, bb, dd] = row
+        if not plus:  # marshal.load from a file reads piece by piece: 40x slower
+            blob = marshal.dumps(ours)
+            link.write(len(blob).to_bytes(8, "little"))
+            link.write(blob)
+            link.flush()
         if m < n:  # the length is complete: every family takes its row
             for (_, _, p, q), (aa, bb, dd) in heads.values():
                 pq = rows[aa, min(bb, m), min(dd, m)]
-                p.append(pq[0])
-                q.append(pq[1])
+                if plus:
+                    p.append(pq[0])
+                if minus:
+                    q.append(pq[1])
 
 
 def _family_key(aa: int, bb: int, dd: int) -> tuple[int, int, int]:
@@ -266,8 +382,9 @@ def _equal_row(m: int, aa: int, bb: int, c: int, dd: int) -> tuple[int, int] | N
 def _sum(fams, m: int, aa: int, bb: int, dd: int, cores: dict, rcat, x: int):
     """The row (m, aa, bb, c, dd) at x and -x, as the sum over j = i - 1 of
     its left factor's length-j row times its right factor's length-(m-1-j)
-    row (see the module docstring).  The middle regime lo..hi reads the
-    families F = fams[aa-.-1][bb][0] and G = fams[aa][0][dd]: it is the head
+    row (see the module docstring), None at a point whose family lists are
+    None (see _points).  The middle regime lo..hi reads the families
+    F = fams[aa-.-1][bb][0] and G = fams[aa][0][dd]: it is the head
     j < t_F, where F is C_j, the core t_F <= j <= m-1-t_G, which every row
     of the length with the same two families shares through ``cores``, and
     the tail, where G is C_{m-1-j}; rcat lists the Catalan numbers C_k for
@@ -287,57 +404,65 @@ def _sum(fams, m: int, aa: int, bb: int, dd: int, cores: dict, rcat, x: int):
         p, q = core
     else:
         p = q = 0
-    # the tail, j = t..hi, reads F[j] * C_{top-j}, and the head, j < t_F,
-    # reads C_j * G[top-j]: one C-level pass per point takes both
+    # the tail, j = t..hi, reads F[j] * C_{top-j}, and the head, j = e..t_F-1,
+    # reads C_j * G[top-j]: one C-level pass per point takes both.  When
+    # aa = bb = 0, n matches from j = e = c = t_F - 1 on, and the head j < c
+    # is summed apart, unmarked
     t = tf if tf + tg > top else m - tg
     z = len(rcat) - 1  # rcat[z - k] is C_k
-    tail = rcat[z - top + t : z - top + hi + 1]  # C_{top-j}, j = t..hi
-    if aa or bb:
-        cs = rcat[z + 1 - tf : z + 1 - lo] + tail  # C_j, j = t_F-1 down to lo
-        p += sum(map(mul, gp[m - tf : m - lo] + fp[t : hi + 1], cs))
-        q += sum(map(mul, gq[m - tf : m - lo] + fq[t : hi + 1], cs))
-    else:  # n matches from j = c = t_F - 1 on, and the head j < c is unmarked
-        c = tf - 1
-        cs = rcat[z - c : z + 1 - c] + tail
-        head = rcat[z + 1 - c :]  # C_j, j = c-1 down to 0
-        p = sum(map(mul, gp[m - c : m], head)) + x * (
-            p + sum(map(mul, gp[m - tf : m - c] + fp[t : hi + 1], cs))
-        )
-        q = sum(map(mul, gq[m - c : m], head)) - x * (
-            q + sum(map(mul, gq[m - tf : m - c] + fq[t : hi + 1], cs))
-        )
+    e = lo if aa or bb else tf - 1
+    cs = rcat[z + 1 - tf : z + 1 - e] + rcat[z - top + t : z - top + hi + 1]
+    gl, gh, fh = m - tf, m - e, hi + 1
+    if fp is not None:
+        p += sum(map(mul, gp[gl:gh] + fp[t:fh], cs))
+    if fq is not None:
+        q += sum(map(mul, gq[gl:gh] + fq[t:fh], cs))
+    if not (aa or bb):
+        head = rcat[z + 1 - e :]  # C_j, j = c-1 down to 0
+        if fp is not None:
+            p = sum(map(mul, gp[gh:m], head)) + x * p
+        if fq is not None:
+            q = sum(map(mul, gq[gh:m], head)) - x * q
     for j in range(lo):  # the right factor still carries bb - 1 - j in its b
         _, _, rp, rq = right[bb - 1 - j][dd]
-        p += fp[j] * rp[top - j]
-        q += fq[j] * rq[top - j]
-    for j in range(hi + 1, m):
+        if fp is not None:
+            p += fp[j] * rp[top - j]
+        if fq is not None:
+            q += fq[j] * rq[top - j]
+    for j in range(fh, m):
         # top - j < dd: no position of the right factor can see dd points
         # below-right, so its b bound is moot
         _, _, lp, lq = left[j - hi]
-        p += lp[j] * gp[top - j]
-        q += lq[j] * gq[top - j]
-    return p, q
+        if fp is not None:
+            p += lp[j] * gp[top - j]
+        if fq is not None:
+            q += lq[j] * gq[top - j]
+    return p if fp is not None else None, q if fq is not None else None
 
 
-def _core(f, g, top: int) -> tuple[int, int]:
+def _core(f, g, top: int) -> tuple[int | None, int | None]:
     """sum_{j=t_F}^{top-t_G} F[j] * G[top-j] at both points, for families
-    f = (r, t_F, P, Q) and g.  Swapping j and top - j maps it onto the
-    core of (g, f); when f is g it is twice the sum below the middle, plus
-    the middle square when top is even."""
+    f = (r, t_F, P, Q) and g, None at a point whose lists are None.
+    Swapping j and top - j maps it onto the core of (g, f); when f is g it
+    is twice the sum below the middle, plus the middle square when top is
+    even."""
     _, lo, fp, fq = f
     _, tg, gp, gq = g
+    p = q = None
     if f is not g:
-        hi = top - tg
-        return (
-            sum(map(mul, fp[lo : hi + 1], gp[top - lo : tg - 1 : -1])),
-            sum(map(mul, fq[lo : hi + 1], gq[top - lo : tg - 1 : -1])),
-        )
+        hi, tl = top - tg + 1, top - lo
+        if fp is not None:
+            p = sum(map(mul, fp[lo:hi], gp[tl : tg - 1 : -1]))
+        if fq is not None:
+            q = sum(map(mul, fq[lo:hi], gq[tl : tg - 1 : -1]))
+        return p, q
     h = (top + 1) // 2  # j < h: below the middle
-    p = 2 * sum(map(mul, fp[lo:h], fp[top - lo : top - h : -1]))
-    q = 2 * sum(map(mul, fq[lo:h], fq[top - lo : top - h : -1]))
-    if not top % 2:
-        p += fp[h] * fp[h]
-        q += fq[h] * fq[h]
+    if fp is not None:
+        p = 2 * sum(map(mul, fp[lo:h], fp[top - lo : top - h : -1]))
+        p += 0 if top % 2 else fp[h] * fp[h]
+    if fq is not None:
+        q = 2 * sum(map(mul, fq[lo:h], fq[top - lo : top - h : -1]))
+        q += 0 if top % 2 else fq[h] * fq[h]
     return p, q
 
 

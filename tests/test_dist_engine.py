@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 import tracemalloc
@@ -158,6 +159,18 @@ def test_series_limits_fail_before_any_row_is_filled():
     assert dist_engine._limb == width
 
 
+# _FORK_WORK for each of _fill's two paths: at 0 every box is filled by two
+# processes, and above the work of every box by one
+FILL_PATHS = {"two-process": 0, "one-process": 1 << 62}
+on_both_paths = pytest.mark.parametrize("fork_work", FILL_PATHS.values(), ids=FILL_PATHS)
+
+
+@pytest.fixture(params=FILL_PATHS.values(), ids=FILL_PATHS)
+def fill_path(request, monkeypatch):
+    """Each test that takes it runs once on each path of _fill."""
+    monkeypatch.setattr(dist_engine, "_FORK_WORK", request.param)
+
+
 def _reference_fill(memo, x, n, a, b, c, d):
     """The table fill at the point x as one triple loop over (m, a', b', d') and i."""
     for m in range(1, n + 1):
@@ -227,34 +240,40 @@ def fill_requests(draw, c=None, n_min=0, n_max=24):
     return n, (a, b, c, d)
 
 
+@on_both_paths
 @settings(max_examples=30, deadline=None)
 @given(st.data())
-def test_fill_matches_the_reference_loop(data):
+def test_fill_matches_the_reference_loop(fork_work, data):
     first = data.draw(fill_requests())
     second = data.draw(fill_requests(c=first[1][2]))  # often reads warm rows
-    new, ref, _ = _memo_after(first)
-    assert list(new) == list(ref) and new == ref
-    # a longer second request that can match drops the rows of a first that can
-    drops = _can_match(first) and _can_match(second) and first[0] < second[0]
-    new, ref, _ = _memo_after(first, second, since=int(drops))
-    assert list(new) == list(ref) and new == ref
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dist_engine, "_FORK_WORK", fork_work)
+        new, ref, _ = _memo_after(first)
+        assert list(new) == list(ref) and new == ref
+        # a longer second request that can match drops the rows of a first that can
+        drops = _can_match(first) and _can_match(second) and first[0] < second[0]
+        new, ref, _ = _memo_after(first, second, since=int(drops))
+        assert list(new) == list(ref) and new == ref
 
 
+@on_both_paths
 @settings(max_examples=20, deadline=None)
 @given(st.data())
-def test_a_longer_request_drops_the_warm_memo_once(data):
+def test_a_longer_request_drops_the_warm_memo_once(fork_work, data):
     # both can match, so the first sizes the limb and the longer drops it
     first = data.draw(fill_requests(n_min=1, n_max=23).filter(_can_match))
     longer = data.draw(
         fill_requests(c=first[1][2], n_min=first[0] + 1).filter(_can_match)
     )
     requests = [first, longer] + data.draw(st.lists(fill_requests(), max_size=1))
-    new, ref, results = _memo_after(*requests, since=1)
-    assert dist_engine._limb == _width(catalan(RECURSION_N_MAX))
-    assert list(new) == list(ref) and new == ref  # refilled from the longer on
-    for (n, pat), q in zip(requests, results):
-        clear_recursion_memo()
-        assert q == q_poly_recursive(n, pat), (n, pat)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dist_engine, "_FORK_WORK", fork_work)
+        new, ref, results = _memo_after(*requests, since=1)
+        assert dist_engine._limb == _width(catalan(RECURSION_N_MAX))
+        assert list(new) == list(ref) and new == ref  # refilled from the longer on
+        for (n, pat), q in zip(requests, results):
+            clear_recursion_memo()
+            assert q == q_poly_recursive(n, pat), (n, pat)
 
 
 def test_a_longer_request_drops_the_rows_of_the_shorter():
@@ -296,13 +315,13 @@ def test_series_equals_the_per_n_reads_cold_and_warm():
     assert dist_engine._limb == _width(catalan(RECURSION_N_MAX))
 
 
-def test_fill_matches_the_reference_loop_on_a_large_box():
+def test_fill_matches_the_reference_loop_on_a_large_box(fill_path):
     new, ref, _ = _memo_after((27, (8, 8, 2, 8)))
     assert len(new) == 16_407
     assert new == ref
 
 
-def test_reflected_twin_rows_are_shared():
+def test_reflected_twin_rows_are_shared(fill_path):
     # inversion swaps b and d and keeps Q_m: a row with b' > d' is the very
     # object of its twin, and the memo still equals the reference loop's,
     # after a cold fill and after a fill that widens the limb on the way
@@ -330,7 +349,7 @@ def _block_partners(key):
     return [(m, 0, 0, c, e), (m, 0, e, c, 0)]
 
 
-def test_rows_with_a_proven_value_share_one_object():
+def test_rows_with_a_proven_value_share_one_object(fill_path):
     # a row with no possible match is C_m, one object per length, and a row
     # of the block identity is the very object of its partner in the box
     clear_recursion_memo()
@@ -356,7 +375,7 @@ def test_rows_with_a_proven_value_share_one_object():
     assert all(memo[key] is memo[partner] for key, partner in shared)
 
 
-def test_a_warm_request_shares_a_row_of_the_one_before():
+def test_a_warm_request_shares_a_row_of_the_one_before(fill_path):
     # (m, 1, 0, 2, 5) is in the second box only, its partner (m, 0, 6, 2, 0)
     # in the first only: the second fill takes the first's object
     new, ref, _ = _memo_after((40, (0, 8, 2, 0)), (40, (1, 0, 2, 5)))
@@ -379,7 +398,8 @@ def test_the_block_identity_holds_on_brute_force():
 def test_rows_with_the_same_family_pair_share_one_core(monkeypatch):
     # level-1 rows reuse level-0 cores, and a row whose two families are
     # one computes half its core: a cold fill computes fewer cores than it
-    # sums rows, each pinned exactly
+    # sums rows, each pinned exactly.  The counters see one process's calls
+    monkeypatch.setattr(dist_engine, "_FORK_WORK", FILL_PATHS["one-process"])
     counts = {"_core": 0, "_sum": 0}
     for name in counts:
         original = getattr(dist_engine, name)
@@ -399,7 +419,7 @@ def test_rows_with_the_same_family_pair_share_one_core(monkeypatch):
         assert (counts["_core"], counts["_sum"]) == (cores, summed), (n, pat)
 
 
-def test_fill_matches_the_reference_loop_on_a_grid():
+def test_fill_matches_the_reference_loop_on_a_grid(fill_path):
     # every box a <= 2, b, d <= 3, c <= 2 at n = 24, cold and after another
     # box with the same c: c = 0 makes the family (0,0,0) C_m x^m, every box
     # has match-factor rows (a' = b' = 0), whose core is marked, and a >= 1
@@ -432,6 +452,80 @@ def test_fill_matches_the_reference_loop_on_a_grid():
                     q_poly_recursive(n, pat)
                 assert list(dist_engine._memo) == want, (first, a, b, c, d)
                 assert all(dist_engine._memo[k] == (plus[k], minus[k]) for k in want)
+
+
+def test_the_two_paths_give_one_series_at_the_top_order(monkeypatch):
+    # the recursion workload's heaviest box, whose fill the threshold sends
+    # to two processes, at the highest order the recursion serves
+    pat, N = (4, 2, 4, 8), RECURSION_N_MAX
+    series = {}
+    for path, fork_work in FILL_PATHS.items():
+        monkeypatch.setattr(dist_engine, "_FORK_WORK", fork_work)
+        clear_recursion_memo()
+        series[path] = q_series_recursive(pat, N)
+    assert series["two-process"] == series["one-process"]
+    assert all(q.eval_at(1) == catalan(n) for n, q in enumerate(series["two-process"].coeffs))
+
+
+def _assert_no_child():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_two_process_fill_reaps_its_child(monkeypatch):
+    monkeypatch.setattr(dist_engine, "_FORK_WORK", 0)
+    _assert_no_child()
+    new, ref, _ = _memo_after((30, (2, 3, 1, 2)))
+    assert new == ref
+    _assert_no_child()
+
+
+def _roles(monkeypatch):
+    """The (plus, minus) role of each _points call this process makes."""
+    roles = []
+    points = dist_engine._points
+
+    def recording(*args):
+        roles.append(args[6:8])
+        return points(*args)
+
+    monkeypatch.setattr(dist_engine, "_points", recording)
+    return roles
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_failed_child_leaves_the_memo_of_one_process(monkeypatch):
+    # the child's pass at -x raises at length 20: this process pairs the
+    # rows below it, reaps the child, and fills the rest at both points
+    request = (40, (2, 5, 1, 5))
+    monkeypatch.setattr(dist_engine, "_FORK_WORK", FILL_PATHS["one-process"])
+    one, _, _ = _memo_after(request)
+    monkeypatch.setattr(dist_engine, "_FORK_WORK", 0)
+    roles = _roles(monkeypatch)
+    summing = dist_engine._sum
+
+    def failing(fams, m, *args):
+        if m == 20 and fams[0][0][0][2] is None:  # a pass at -x alone
+            raise RuntimeError("the child's pass fails")
+        return summing(fams, m, *args)
+
+    monkeypatch.setattr(dist_engine, "_sum", failing)
+    new, ref, _ = _memo_after(request)
+    assert roles == [(True, False), (True, True)]
+    assert list(new) == list(one) and new == one == ref
+    assert len({id(row) for row in new.values()}) == 1_912  # as on one process
+    _assert_no_child()
+
+
+def test_without_fork_one_process_fills_the_box(monkeypatch):
+    monkeypatch.setattr(dist_engine, "_FORK_WORK", 0)
+    monkeypatch.delattr(os, "fork", raising=False)
+    roles = _roles(monkeypatch)
+    new, ref, _ = _memo_after((30, (2, 3, 1, 2)))
+    assert roles == [(True, True)]
+    assert list(new) == list(ref) and new == ref
 
 
 def test_limb_width_holds_every_coefficient():
