@@ -113,19 +113,23 @@ j = c, then the core (j >= t_F = c + 1) and the tail are multiplied by the
 point, +2^h or -2^h.  Only the edge terms are summed by an interpreted
 loop, and one call sums a row at every point of its pass.
 
-Three proven equalities let a row take an object the memo already holds,
-with no sum at all:
+Three proven equalities let a row take another row of its length, with
+no sum at all:
 
 1. no match: a row with a' + b' + c + d' >= m is the constant C_m, so
    every such row of length m shares one (C_m, C_m) pair;
-2. reflection: inversion swaps the b and d bounds and keeps Q_m, so a row
-   (m, a', b', c, d') with b' > d' takes the row (m, a', d', c, b');
+2. reflection: inversion swaps the b and d bounds and keeps Q_m, so the
+   rows (m, a', b', c, d') and (m, a', d', c, b') are equal;
 3. the block identity: Q(1, 0, c, e-1) = Q(0, 0, c, e) for e >= 1 (proved
    in gf_formulas.block_series), so a row (m, 1, b', c, d') with b'd' = 0
-   takes (m, 0, 0, c, e) or (m, 0, e, c, 0), e = b' + d' + 1.
+   equals (m, 0, 0, c, e) and (m, 0, e, c, 0), e = b' + d' + 1.
 
-Rules 2 and 3 apply when the memo holds that row.  The memo's keys, their
-order and their values are those of a fill that sums every row.
+Rule 1 is the family threshold t, and rules 2 and 3 the family key: a row
+of length m >= t takes the length-m row of its family's representative,
+the first index (a', b', d') of its key in the box's order, which comes
+earlier and has b', d' <= m.  A row probes the memo for its own key only.
+The memo's keys, their order and their values are those of a fill that
+sums every row.
 
 The two points never read each other, so a large box is filled by two
 processes at once.  _fill weighs a box by the sum of m^3 over its keys: a
@@ -139,10 +143,10 @@ marshal blob per length.  The parent fills +2^h, reads each length's blob
 before that length, and stores each row it sums as a whole pair, so its
 memo holds the same keys, order, values and shared objects as a
 one-process fill.  The rows summed are the same in both processes, since
-the three rules read the memo that the fork shares.  One fill loop,
-_points, and one _sum and _core serve all three roles: both points, +2^h
-only and -2^h only.  In each family the list of a point that a process
-does not compute is None, and _sum and _core return None for it.  The parent
+the three rules read the box alone.  One fill loop, _points, and one _sum
+and _core serve all three roles: both points, +2^h only and -2^h only.
+In each family the list of a point that a process does not compute is
+None, and _sum and _core return None for it.  The parent
 reaps the child before _fill returns, on every path; if the child fails,
 its pipe ends early, and the parent finishes the box alone from the whole
 pairs it holds.  A fork costs about 1 ms on a 2-core host with numpy
@@ -250,7 +254,8 @@ def _fill_forked(box: tuple) -> bool:
     """Fill _fill's box at -x in a forked child and at +x here, pairing
     each summed row with the child's value, and reap the child.  True when
     the box is complete; False when no child could be forked or the child
-    failed, and then every row held is a whole pair."""
+    failed, and then every row held is a whole pair.  A child that summed
+    other rows empties the memo and raises ArithmeticError."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -277,6 +282,9 @@ def _fill_forked(box: tuple) -> bool:
         return True
     except EOFError:  # the child's pipe ended early
         return False
+    except (StopIteration, ArithmeticError):  # the child summed other rows
+        _memo.clear()  # a pair that took one of its values may be wrong
+        raise ArithmeticError("the two processes summed different rows") from None
     finally:
         os.waitpid(pid, 0)
 
@@ -291,28 +299,31 @@ def _points(
     ``_memo[(k, a', min(b',k), c, min(d',k))]``, k = 0, 1, ...: P and Q list
     their values at x and -x (1 at k = 0), and the list of a point this
     pass does not compute is None.  t is sum(key) + c + 1, the first length
-    at which a row can match, and r numbers the family.  Indices with equal
-    family keys (see _family_key) share one family, which takes its row
+    at which a row can match, and r, the family's representative, the
+    first of its indices in product order (equal family keys share one
+    family: see _family_key).  A row that the memo lacks is C_m when m < t,
+    else r's row when it is not r, else summed.  Each family takes r's row
     once each length is complete.  A length's cores are kept by pair of
-    family numbers until the length is done.
+    representatives until the length is done.
 
     With one point, ``link`` is the pipe between the two processes.  The
     pass at -x writes the values of the rows it sums, in key order, as one
     marshal blob per length, each after its 8-byte size, and keeps
     (None, q) rows in its own memo, which ends with its process.  The pass
     at x reads each length's blob before that length and pairs each row it
-    sums with the next value; a pipe that ends early raises EOFError.
+    sums with the next value; a pipe that ends early raises EOFError, a blob
+    too short StopIteration and one too long ArithmeticError.
     """
     cat = [catalan(k) for k in range(n + 1)]
     rcat = cat[::-1]  # C_n down to C_0
-    heads: dict = {}  # family key -> (family, one index (a', b', d') of it)
+    heads: dict = {}  # family key -> family
     fams = [[[None] * (d + 1) for _ in range(b + 1)] for _ in range(a + 1)]
     for aa, bb, dd in product(range(a + 1), range(b + 1), range(d + 1)):
         key = _family_key(aa, bb, dd)
         if key not in heads:
             lists = [1] if plus else None, [1] if minus else None
-            heads[key] = (len(heads), sum(key) + c + 1, *lists), (aa, bb, dd)
-        fams[aa][bb][dd] = heads[key][0]
+            heads[key] = ((aa, bb, dd), sum(key) + c + 1, *lists)
+        fams[aa][bb][dd] = heads[key]
     for m in range(1, n + 1):
         if not minus:  # the child's values at -x of this length's summed rows
             size = int.from_bytes(link.read(8), "little")
@@ -327,17 +338,18 @@ def _points(
                     key = (m, aa, bb, c, dd)
                     row = _memo.get(key)
                     if row is None:
-                        if aa + bb + c + dd >= m:  # no position sees that many points
+                        rep, t, _, _ = fams[aa][bb][dd]
+                        if m < t:  # no position sees that many points
                             row = no_match
+                        elif rep != (aa, bb, dd):  # an equal row, done earlier
+                            row = rows[rep]
                         else:
-                            row = _equal_row(m, aa, bb, c, dd)
-                            if row is None:
-                                row = _sum(fams, m, aa, bb, dd, cores, rcat, x)
-                                if link:  # one point: paired at x, sent from -x
-                                    if plus:
-                                        row = row[0], next(theirs)
-                                    else:
-                                        ours.append(row[1])
+                            row = _sum(fams, m, aa, bb, dd, cores, rcat, x)
+                            if link:  # one point: paired at x, sent from -x
+                                if plus:
+                                    row = row[0], next(theirs)
+                                else:
+                                    ours.append(row[1])
                         _memo[key] = row
                     rows[aa, bb, dd] = row
         if not plus:  # marshal.load from a file reads piece by piece: 40x slower
@@ -345,8 +357,10 @@ def _points(
             link.write(len(blob).to_bytes(8, "little"))
             link.write(blob)
             link.flush()
+        elif not minus and next(theirs, None) is not None:
+            raise ArithmeticError("the child summed more rows of this length")
         if m < n:  # the length is complete: every family takes its row
-            for (_, _, p, q), (aa, bb, dd) in heads.values():
+            for (aa, bb, dd), _, p, q in heads.values():
                 pq = rows[aa, min(bb, m), min(dd, m)]
                 if plus:
                     p.append(pq[0])
@@ -362,21 +376,6 @@ def _family_key(aa: int, bb: int, dd: int) -> tuple[int, int, int]:
     if aa == 1 and not bb * dd:
         return (0, 0, bb + dd + 1)
     return (aa, bb, dd) if bb <= dd else (aa, dd, bb)
-
-
-def _equal_row(m: int, aa: int, bb: int, c: int, dd: int) -> tuple[int, int] | None:
-    """A held row that a proven equality gives the value of (m, aa, bb, c, dd),
-    or None: its reflection twin (m, aa, dd, c, bb) when bb > dd, and for
-    aa = 1 with bb * dd = 0 the row (m, 0, 0, c, e) or (m, 0, e, c, 0),
-    e = bb + dd + 1 (see gf_formulas.block_series for the proof)."""
-    if bb > dd:
-        twin = _memo.get((m, aa, dd, c, bb))
-        if twin is not None:
-            return twin
-    if aa == 1 and not bb * dd:
-        e = bb + dd + 1
-        return _memo.get((m, 0, 0, c, e)) or _memo.get((m, 0, e, c, 0))
-    return None
 
 
 def _sum(fams, m: int, aa: int, bb: int, dd: int, cores: dict, rcat, x: int):

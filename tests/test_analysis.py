@@ -25,6 +25,7 @@ from qmmp132 import (
 from qmmp132 import analysis, dist_engine, gf_formulas
 from qmmp132.analysis import ClosedFormCheck, SequenceExport
 from qmmp132.dist_engine import q_series_recursive
+from qmmp132.mmp_stat import natural_pattern
 from qmmp132.poly_series import _width
 
 
@@ -462,6 +463,33 @@ def test_cross_validate_catches_corrupt_dispatch():
     assert detail == "dispatch x vs recursion 1"
     # 12 for (0,0,0,0), then 8 for the lengths of (0,0,0,1) and 2 orders
     assert report.comparisons == 22
+
+
+def test_cross_validate_reflection_compares_two_fills():
+    # a reflection comparison of two patterns that differ and can match
+    # decodes one row from each pattern's own fill, never one memo object
+    # twice.  Brute force is the recursion here, so the run takes no
+    # enumeration
+    reads = []  # (memo key, memo row) of each rec_fn call, in call order
+
+    def recording(n, pat):
+        q = q_poly_recursive(n, pat)
+        key = (n, *natural_pattern(pat, n))
+        reads.append((key, dist_engine._memo.get(key)))
+        return q
+
+    dist_engine.clear_recursion_memo()
+    report = cross_validate(4, 13, 24, brute_fn=q_poly_recursive, rec_fn=recording)
+    assert report.passed and report.comparisons == 3_710
+    # rec_fn(n, pat) is followed by rec_fn(n, swap_b_d(pat)) only in a
+    # reflection comparison
+    pairs = [
+        (row, twin_row)
+        for ((n, a, b, c, d), row), (twin, twin_row) in zip(reads, reads[1:])
+        if twin == (n, a, d, c, b) and b != d and a + b + c + d < n
+    ]
+    assert len(pairs) == 464
+    assert sum(row is twin_row for row, twin_row in pairs) == 0
 
 
 def test_cross_validate_is_deterministic():

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import marshal
 import os
 import random
 import sys
 import tracemalloc
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -375,14 +377,16 @@ def test_rows_with_a_proven_value_share_one_object(fill_path):
     assert all(memo[key] is memo[partner] for key, partner in shared)
 
 
-def test_a_warm_request_shares_a_row_of_the_one_before(fill_path):
+def test_a_warm_request_does_not_share_a_row_of_the_one_before(fill_path):
     # (m, 1, 0, 2, 5) is in the second box only, its partner (m, 0, 6, 2, 0)
-    # in the first only: the second fill takes the first's object
+    # in the first only: a row takes only rows of its own fill's box, so the
+    # second fill sums the row, equal to the first's but another object
     new, ref, _ = _memo_after((40, (0, 8, 2, 0)), (40, (1, 0, 2, 5)))
     assert list(new) == list(ref) and new == ref
     for m in range(9, 41):
         assert (m, 0, 0, 2, 6) not in new
-        assert new[(m, 1, 0, 2, 5)] is new[(m, 0, 6, 2, 0)], m
+        row, partner = new[(m, 1, 0, 2, 5)], new[(m, 0, 6, 2, 0)]
+        assert row == partner and row is not partner, m
 
 
 def test_the_block_identity_holds_on_brute_force():
@@ -516,6 +520,31 @@ def test_a_failed_child_leaves_the_memo_of_one_process(monkeypatch):
     assert roles == [(True, False), (True, True)]
     assert list(new) == list(one) and new == one == ref
     assert len({id(row) for row in new.values()}) == 1_912  # as on one process
+    _assert_no_child()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@pytest.mark.parametrize(
+    "corrupt", [lambda values: values[1:], lambda values: [1] + values], ids=["short", "long"]
+)
+def test_a_child_that_sums_other_rows_raises(monkeypatch, corrupt):
+    # the child's blob of length 20 holds one value fewer or one more than
+    # the rows this process sums there: its pairs cannot be trusted, so the
+    # memo is dropped and the child reaped
+    monkeypatch.setattr(dist_engine, "_FORK_WORK", 0)
+    sent = []  # the child's values, one list per length
+
+    def dumps(values):
+        sent.append(values)
+        return marshal.dumps(corrupt(values) if len(sent) == 20 else values)
+
+    link_format = SimpleNamespace(dumps=dumps, loads=marshal.loads)
+    monkeypatch.setattr(dist_engine, "marshal", link_format)
+    clear_recursion_memo()
+    with pytest.raises(ArithmeticError, match="summed different rows"):
+        q_poly_recursive(40, (2, 5, 1, 5))
+    assert dist_engine._memo == {}
+    assert not sent  # dumps ran in the child alone
     _assert_no_child()
 
 
