@@ -20,7 +20,6 @@ from .perm_core import (
     gen_avoiders,
     inverse,
     parse_perm,
-    format_perm,
     reduce_word,
 )
 from .mmp_stat import (

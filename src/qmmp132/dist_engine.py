@@ -84,34 +84,43 @@ three regimes:
 * i > m - d': the left factor still carries d' - (m - i) in its d bound.
 
 The middle regime, which holds all but at most b' + d' positions, is a
-t-convolution of two fixed families of rows: with j = i - 1, the left
-factor is the length-j row of F = (a'-.-1, b', 0) and the right factor
-the length-(m-1-j) row of G = (a', 0, d').  The fill keeps each family as
-a list indexed by length, one list per point.  A family (a, b, d) is the
-constant C_k at every length k < t = a + b + c + d + 1 (rule 1 below), so
-the middle falls into three parts:
+t-convolution of two fixed families of rows: with j = i - 1 and
+top = m - 1, the left factor is the length-j row of F = (a'-.-1, b', 0)
+and the right factor the length-(top-j) row of G = (a', 0, d'), for j
+from lo = b'-.-1 to hi = top - d'.  The fill keeps each family as a list
+indexed by length, one list per point, and _core, the one routine that
+sums a middle, takes any range of such a t-convolution in one C-level
+pass per point.  A family (a, b, d) is the constant C_k at every length
+k < t = a + b + c + d + 1 (rule 1 below).  A family key names the
+family's values: (a, b, d) with b <= d, since reflection (rule 2) swaps
+b and d, and (0, 0, b + d + 1) for a = 1 and bd = 0, by the block
+identity (rule 3).  Both hold at every length k of the clamped bounds
+min(b, k) and min(d, k): where the clamp changes rule 3's bounds,
+k <= b + d, both rows are C_k.
 
-* the head, j < t_F, where F is C_j;
-* the tail, m-1-j < t_G, where G is C_{m-1-j};
-* the core, t_F <= j <= m-1-t_G, where both factors can match.
+So at a' <= 1 the families F and G are those of R_u = (0, 0, c, u) and
+R_v = (0, 0, c, v), u = b' and v = d' + a', and such a row reads the pair
+middle
 
-Head and tail are summed for each row, in one C-level pass per point; one
-factor of each term is a small Catalan number.  The core depends only on
-F, G and m, and swapping j and m-1-j maps the core of (F, G) onto that of
-(G, F).  So each length computes one core per unordered pair of family
-keys, and every row of that length with that pair shares it; when the two
-keys are equal the core is twice the sum below the middle plus the middle
-square, as in poly_series._q00k0_terms.  A family key names the family's
-values: (a, b, d) with b <= d, since reflection (rule 2) swaps b and d,
-and (0, 0, b + d + 1) for a = 1 and bd = 0, by the block identity (rule
-3).  Both hold at every length k of the clamped bounds min(b, k) and
-min(d, k): where the clamp changes rule 3's bounds, k <= b + d, both rows
-are C_k.  So the right family (1, 0, d') of a level-1 row is the level-0
-family (0, 0, d' + 1), and level-1 rows reuse the cores of level-0 rows.
-When a' = b' = 0, n matches from i = c + 1 on: the head's last term,
-j = c, then the core (j >= t_F = c + 1) and the tail are multiplied by the
-point, +2^h or -2^h.  Only the edge terms are summed by an interpreted
-loop, and one call sums a row at every point of its pass.
+    M(u, v) = sum_{j = u-.-1}^{top - (v-.-1)} R_u[j] * R_v[top-j].
+
+M(u, v) = M(v, u): j -> top - j maps the range of M(u, v) onto that of
+M(v, u), and each term onto the term of M(v, u) with the same factors.
+So each length computes M once per unordered pair {u, v}, by _core, and
+when u = v its terms pair up: it is twice the sum below the middle plus
+the middle square, as in poly_series._q00k0_terms.  The rows take it:
+
+* a level-1 row's middle is M (hi = top - (v - 1)), so the twins
+  (1, u, c, v-1) and (1, v, c, u-1) share it;
+* a level-0 row's middle is M less its one term past hi,
+  F[hi+1] * G[d'-1], when d' >= 1, and M itself when d' = 0;
+* a marked row, a' = b' = 0, where n matches from i = c + 1 on, takes
+  H + x (M' - H) at the point x = +2^h or -2^h, M' its middle and H its
+  unmarked head j < c.
+
+A row at a' >= 2 has a pair no other row of its length has, and sums its
+own middle by one _core call.  Only the edge terms are summed by an
+interpreted loop, and one call sums a row at every point of its pass.
 
 Three proven equalities let a row take another row of its length, with
 no sum at all:
@@ -134,26 +143,27 @@ sums every row.
 The two points never read each other, so a large box is filled by two
 processes at once.  _fill weighs a box by the sum of m^3 over its keys: a
 row of length m sums about m products of operands about m limbs wide, each
-about m^2 limb products.  At _FORK_WORK or more, where os.fork exists, it
-forks once.  The child fills the rows at -2^h with the cyclic GC off: it
-never needs the collector, since it exits after the pass, and a collection
-would walk the objects it inherits and so copy every page it touches.  It
-sends the values of the rows it sums, in key order, down a pipe, one
-marshal blob per length.  The parent fills +2^h, reads each length's blob
-before that length, and stores each row it sums as a whole pair, so its
-memo holds the same keys, order, values and shared objects as a
-one-process fill.  The rows summed are the same in both processes, since
-the three rules read the box alone.  One fill loop, _points, and one _sum
-and _core serve all three roles: both points, +2^h only and -2^h only.
-In each family the list of a point that a process does not compute is
-None, and _sum and _core return None for it.  The parent
-reaps the child before _fill returns, on every path; if the child fails,
-its pipe ends early, and the parent finishes the box alone from the whole
-pairs it holds.  A fork costs about 1 ms on a 2-core host with numpy
-loaded, a pass at one point takes 53-73% of the time of a pass at both,
-the interpreted part of a row being the same, and the pairing costs the
-parent a little more, so a small box stays in one process (see _FORK_WORK
-for the requests measured on each side).
+about m^2 limb products.  At _FORK_WORK or more, where os.fork exists and
+the process may run on two or more CPUs (by os.sched_getaffinity, where
+that exists: on one CPU the two passes would take turns), it forks once.
+The child fills the rows at -2^h with the cyclic GC off: it never needs
+the collector, since it exits after the pass, and a collection would walk
+the objects it inherits and so copy every page it touches.  It sends the
+values of the rows it sums, in key order, down a pipe, one marshal blob
+per length.  The parent fills +2^h, reads each length's blob before that
+length, and stores each row it sums as a whole pair, so its memo holds
+the same keys, order, values and shared objects as a one-process fill.
+The rows summed are the same in both processes, since the three rules
+read the box alone.  One fill loop, _points, and one _sum serve all three
+roles: both points, +2^h only and -2^h only.  In each family the list of
+a point that a process does not compute is None, and _sum returns None
+for it.  The parent reaps the child before _fill returns, on every path;
+if the child fails, its pipe ends early, and the parent finishes the box
+alone from the whole pairs it holds.  A fork costs about 1 ms on a 2-core
+host with numpy loaded, a pass at one point takes 53-73% of the time of a
+pass at both, the interpreted part of a row being the same, and the
+pairing costs the parent a little more, so a small box stays in one
+process (see _FORK_WORK for the requests measured on each side).
 
 A row (p, q) = (P(2^h), P(-2^h)) is read through the even and odd parts
 of P(x) = E(x^2) + x O(x^2): (p + q) / 2 = E(2^(2h)) and
@@ -233,8 +243,10 @@ def _fill(n: int, a: int, b: int, c: int, d: int) -> None:
 
     Each row is the pair of its values at x = +2^h and x = -2^h,
     h = _half(_limb), filled by _points in one of three roles.  A box whose
-    work, the sum of m^3 over its keys, is below _FORK_WORK, or a host
-    without os.fork, takes one pass at both points.  A larger box forks
+    work, the sum of m^3 over its keys, is below _FORK_WORK, a host
+    without os.fork, or a process that may run on one CPU only (by
+    os.sched_getaffinity, where it exists), takes one pass at both points:
+    on one CPU the two passes would take turns.  A larger box forks
     once (_fill_forked): the child takes the pass at -x only, with the
     cyclic GC off, and this process the pass at +x only, which pairs each
     row it sums with the child's value (see the module docstring).  The
@@ -253,9 +265,14 @@ def _fill(n: int, a: int, b: int, c: int, d: int) -> None:
 def _fill_forked(box: tuple) -> bool:
     """Fill _fill's box at -x in a forked child and at +x here, pairing
     each summed row with the child's value, and reap the child.  True when
-    the box is complete; False when no child could be forked or the child
-    failed, and then every row held is a whole pair.  A child that summed
-    other rows empties the memo and raises ArithmeticError."""
+    the box is complete; False when this process may run on one CPU only
+    (by os.sched_getaffinity, where it exists), when no child could be
+    forked or when the child failed, and then every row held is a whole
+    pair.  A child that summed other rows empties the memo and raises
+    ArithmeticError."""
+    cpus = getattr(os, "sched_getaffinity", None)
+    if cpus is not None and len(cpus(0)) < 2:
+        return False  # on one CPU the two passes would take turns
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -303,8 +320,9 @@ def _points(
     first of its indices in product order (equal family keys share one
     family: see _family_key).  A row that the memo lacks is C_m when m < t,
     else r's row when it is not r, else summed.  Each family takes r's row
-    once each length is complete.  A length's cores are kept by pair of
-    representatives until the length is done.
+    once each length is complete.  A length's pair middles M(u, v) (see
+    _sum) are kept by (u, v), u <= v, one dict per point, until the length
+    is done.
 
     With one point, ``link`` is the pipe between the two processes.  The
     pass at -x writes the values of the rows it sums, in key order, as one
@@ -315,7 +333,6 @@ def _points(
     too short StopIteration and one too long ArithmeticError.
     """
     cat = [catalan(k) for k in range(n + 1)]
-    rcat = cat[::-1]  # C_n down to C_0
     heads: dict = {}  # family key -> family
     fams = [[[None] * (d + 1) for _ in range(b + 1)] for _ in range(a + 1)]
     for aa, bb, dd in product(range(a + 1), range(b + 1), range(d + 1)):
@@ -330,7 +347,7 @@ def _points(
             theirs = iter(marshal.loads(link.read(size)))  # short: EOFError
         ours = []  # this length's summed values at -x, sent when not plus
         rows = {}  # this length's rows, by (a', b', d')
-        cores: dict = {}
+        cores = {}, {}  # this length's pair middles at x and -x
         no_match = (cat[m], cat[m])  # C_m at both points
         for aa in range(a + 1):
             for bb in range(min(b, m) + 1):
@@ -344,7 +361,7 @@ def _points(
                         elif rep != (aa, bb, dd):  # an equal row, done earlier
                             row = rows[rep]
                         else:
-                            row = _sum(fams, m, aa, bb, dd, cores, rcat, x)
+                            row = _sum(fams, m, aa, bb, dd, c, cores, x)
                             if link:  # one point: paired at x, sent from -x
                                 if plus:
                                     row = row[0], next(theirs)
@@ -378,91 +395,64 @@ def _family_key(aa: int, bb: int, dd: int) -> tuple[int, int, int]:
     return (aa, bb, dd) if bb <= dd else (aa, dd, bb)
 
 
-def _sum(fams, m: int, aa: int, bb: int, dd: int, cores: dict, rcat, x: int):
+def _sum(fams, m: int, aa: int, bb: int, dd: int, c: int, cores: tuple, x: int):
     """The row (m, aa, bb, c, dd) at x and -x, as the sum over j = i - 1 of
     its left factor's length-j row times its right factor's length-(m-1-j)
     row (see the module docstring), None at a point whose family lists are
     None (see _points).  The middle regime lo..hi reads the families
-    F = fams[aa-.-1][bb][0] and G = fams[aa][0][dd]: it is the head
-    j < t_F, where F is C_j, the core t_F <= j <= m-1-t_G, which every row
-    of the length with the same two families shares through ``cores``, and
-    the tail, where G is C_{m-1-j}; rcat lists the Catalan numbers C_k for
-    k from the longest length down to 0.  When aa = bb = 0 the terms from
-    j = c = t_F - 1 on are multiplied by the point."""
+    F = fams[aa-.-1][bb][0] and G = fams[aa][0][dd].  At aa >= 2 it is one
+    _core call.  At aa <= 1, F and G are the families of (0,0,c,u) and
+    (0,0,c,v), u = bb and v = dd + aa, and the row reads the pair middle
+    M(u, v) = M(v, u), which the first row of the length to need it
+    computes into the point's dict of ``cores`` under (min(u,v), max(u,v)):
+    a level-1 row's middle is M, and a level-0 row with dd >= 1 drops M's
+    one term past hi.  When aa = bb = 0 the terms from j = c on are
+    multiplied by the point: the middle M' becomes H + x (M' - H), H its
+    part j < c."""
     left, right = fams[aa - 1 if aa else 0][bb], fams[aa]
     f, g = left[0], right[0][dd]
-    fr, tf, fp, fq = f
-    gr, tg, gp, gq = g
     top = m - 1
     lo, hi = bb - 1 if bb else 0, top - dd  # the middle regime
-    if tf + tg <= top:
-        pair = (fr, gr) if fr <= gr else (gr, fr)
-        core = cores.get(pair)
-        if core is None:
-            core = cores[pair] = _core(f, g, top)
-        p, q = core
-    else:
-        p = q = 0
-    # the tail, j = t..hi, reads F[j] * C_{top-j}, and the head, j = e..t_F-1,
-    # reads C_j * G[top-j]: one C-level pass per point takes both.  When
-    # aa = bb = 0, n matches from j = e = c = t_F - 1 on, and the head j < c
-    # is summed apart, unmarked
-    t = tf if tf + tg > top else m - tg
-    z = len(rcat) - 1  # rcat[z - k] is C_k
-    e = lo if aa or bb else tf - 1
-    cs = rcat[z + 1 - tf : z + 1 - e] + rcat[z - top + t : z - top + hi + 1]
-    gl, gh, fh = m - tf, m - e, hi + 1
-    if fp is not None:
-        p += sum(map(mul, gp[gl:gh] + fp[t:fh], cs))
-    if fq is not None:
-        q += sum(map(mul, gq[gl:gh] + fq[t:fh], cs))
-    if not (aa or bb):
-        head = rcat[z + 1 - e :]  # C_j, j = c-1 down to 0
-        if fp is not None:
-            p = sum(map(mul, gp[gh:m], head)) + x * p
-        if fq is not None:
-            q = sum(map(mul, gq[gh:m], head)) - x * q
-    for j in range(lo):  # the right factor still carries bb - 1 - j in its b
-        _, _, rp, rq = right[bb - 1 - j][dd]
-        if fp is not None:
-            p += fp[j] * rp[top - j]
-        if fq is not None:
-            q += fq[j] * rq[top - j]
-    for j in range(fh, m):
-        # top - j < dd: no position of the right factor can see dd points
-        # below-right, so its b bound is moot
-        _, _, lp, lq = left[j - hi]
-        if fp is not None:
-            p += lp[j] * gp[top - j]
-        if fq is not None:
-            q += lq[j] * gq[top - j]
-    return p if fp is not None else None, q if fq is not None else None
+    v = dd + aa
+    pair = (bb, v) if bb <= v else (v, bb)
+    row = []
+    for k, y in (2, x), (3, -x):
+        fk, gk = f[k], g[k]
+        if fk is None:
+            row.append(None)
+            continue
+        if aa > 1:
+            p = _core(fk, gk, top, lo, hi)
+        else:
+            mids = cores[k - 2]  # this point's pair middles
+            p = mids.get(pair)
+            if p is None:  # M(u, v) sums lo..top-.-(v-1)
+                p = mids[pair] = _core(fk, gk, top, lo, top - (v - 1 if v else 0))
+            if dd and not aa:  # M runs one term past hi
+                p -= fk[hi + 1] * gk[dd - 1]
+            if not (aa or bb):
+                head = _core(fk, gk, top, 0, c - 1)
+                p = head + y * (p - head)
+        for j in range(lo):  # the right factor still carries bb - 1 - j in its b
+            p += fk[j] * right[bb - 1 - j][dd][k][top - j]
+        for j in range(hi + 1, m):
+            # top - j < dd: no position of the right factor can see dd points
+            # below-right, so its b bound is moot
+            p += left[j - hi][k][j] * gk[top - j]
+        row.append(p)
+    return tuple(row)
 
 
-def _core(f, g, top: int) -> tuple[int | None, int | None]:
-    """sum_{j=t_F}^{top-t_G} F[j] * G[top-j] at both points, for families
-    f = (r, t_F, P, Q) and g, None at a point whose lists are None.
-    Swapping j and top - j maps it onto the core of (g, f); when f is g it
-    is twice the sum below the middle, plus the middle square when top is
-    even."""
-    _, lo, fp, fq = f
-    _, tg, gp, gq = g
-    p = q = None
-    if f is not g:
-        hi, tl = top - tg + 1, top - lo
-        if fp is not None:
-            p = sum(map(mul, fp[lo:hi], gp[tl : tg - 1 : -1]))
-        if fq is not None:
-            q = sum(map(mul, fq[lo:hi], gq[tl : tg - 1 : -1]))
-        return p, q
-    h = (top + 1) // 2  # j < h: below the middle
-    if fp is not None:
-        p = 2 * sum(map(mul, fp[lo:h], fp[top - lo : top - h : -1]))
-        p += 0 if top % 2 else fp[h] * fp[h]
-    if fq is not None:
-        q = 2 * sum(map(mul, fq[lo:h], fq[top - lo : top - h : -1]))
-        q += 0 if top % 2 else fq[h] * fq[h]
-    return p, q
+def _core(f: list, g: list, top: int, lo: int, hi: int) -> int:
+    """sum_{j=lo}^{hi} f[j] * g[top-j], lo <= hi + 1, for the values f and g
+    of two families at one point.  When f is g and lo + hi = top, swapping
+    j and top - j pairs the terms: it is twice the sum below the middle,
+    plus the middle square when top is even."""
+    if f is g and lo + hi == top:
+        h = (top + 1) // 2  # j < h: below the middle
+        half = sum(map(mul, f[lo:h], reversed(f[top - h + 1 : top - lo + 1])))
+        return 2 * half + (0 if top % 2 else f[h] * f[h])
+    return sum(map(mul, f[lo : hi + 1], reversed(g[top - hi : top - lo + 1])))
 
 
 def _check_length(n: int) -> None:

@@ -202,10 +202,3 @@ def parse_perm(text: str) -> Perm:
     if not is_permutation(values):
         raise ValueError(f"not a rearrangement of 1..{len(values)}: {text!a}")
     return values
-
-
-def format_perm(p: Sequence[int]) -> str:
-    """Digit string for length <= 9, comma-separated otherwise."""
-    if len(p) <= 9:
-        return "".join(str(v) for v in p)
-    return ",".join(str(v) for v in p)

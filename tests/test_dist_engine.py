@@ -167,6 +167,13 @@ FILL_PATHS = {"two-process": 0, "one-process": 1 << 62}
 on_both_paths = pytest.mark.parametrize("fork_work", FILL_PATHS.values(), ids=FILL_PATHS)
 
 
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    """_fill forks only where this process may run on two or more CPUs:
+    each test sees two, whatever the host allows."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 @pytest.fixture(params=FILL_PATHS.values(), ids=FILL_PATHS)
 def fill_path(request, monkeypatch):
     """Each test that takes it runs once on each path of _fill."""
@@ -399,36 +406,42 @@ def test_the_block_identity_holds_on_brute_force():
                 assert q_poly_bruteforce(n, (1, 0, c, e - 1)) == want, (n, c, e)
 
 
-def test_rows_with_the_same_family_pair_share_one_core(monkeypatch):
-    # level-1 rows reuse level-0 cores, and a row whose two families are
-    # one computes half its core: a cold fill computes fewer cores than it
-    # sums rows, each pinned exactly.  The counters see one process's calls
+def test_rows_with_the_same_pair_share_one_middle(monkeypatch):
+    # a row at a' <= 1 reads the middle of its pair {b', d' + a'}, computed
+    # once per length and point: a level-1 row shares it with a level-0 row
+    # or its level-1 twin, so a cold fill computes fewer middles than it sums
+    # rows, each pinned exactly.  Every other _core call is the unmarked head
+    # of a marked row (a' = b' = 0).  The counters see one process's calls
     monkeypatch.setattr(dist_engine, "_FORK_WORK", FILL_PATHS["one-process"])
-    counts = {"_core": 0, "_sum": 0}
-    for name in counts:
+    calls = {"_core": [], "_sum": []}
+    for name, seen in calls.items():
         original = getattr(dist_engine, name)
 
-        def counting(*args, _name=name, _original=original):
-            counts[_name] += 1
+        def counting(*args, _seen=seen, _original=original):
+            _seen.append(args)
             return _original(*args)
 
         monkeypatch.setattr(dist_engine, name, counting)
-    for n, pat, cores, summed in [
-        (46, (1, 2, 2, 1), 228, 334),
-        (44, (1, 3, 1, 1), 336, 442),
+    for n, pat, middles, summed in [
+        (46, (1, 2, 2, 1), 252, 334),
+        (44, (1, 3, 1, 1), 363, 442),
     ]:
-        counts.update(_core=0, _sum=0)
+        for seen in calls.values():
+            seen.clear()
         new, ref, _ = _memo_after((n, pat))
         assert new == ref
-        assert (counts["_core"], counts["_sum"]) == (cores, summed), (n, pat)
+        marked = sum(1 for args in calls["_sum"] if args[2] == args[3] == 0)
+        assert len(calls["_core"]) == 2 * (middles + marked), (n, pat)  # two points
+        assert len(calls["_sum"]) == summed, (n, pat)
 
 
 def test_fill_matches_the_reference_loop_on_a_grid(fill_path):
     # every box a <= 2, b, d <= 3, c <= 2 at n = 24, cold and after another
     # box with the same c: c = 0 makes the family (0,0,0) C_m x^m, every box
-    # has match-factor rows (a' = b' = 0), whose core is marked, and a >= 1
-    # shares cores between levels 0 and 1.  One reference fill per c serves
-    # every box, since each box's rows are those of (2,3,c,3) in its order.
+    # has match-factor rows (a' = b' = 0), whose middle is marked, and a >= 1
+    # shares pair middles between levels 0 and 1.  One reference fill per c
+    # serves every box, since each box's rows are those of (2,3,c,3) in its
+    # order.
     n = 24
     clear_recursion_memo()
     q_poly_recursive(n, (2, 3, 0, 3))
@@ -545,6 +558,18 @@ def test_a_child_that_sums_other_rows_raises(monkeypatch, corrupt):
         q_poly_recursive(40, (2, 5, 1, 5))
     assert dist_engine._memo == {}
     assert not sent  # dumps ran in the child alone
+    _assert_no_child()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_on_one_cpu_one_process_fills_the_box(monkeypatch):
+    # two processes pinned to one CPU would take turns: no child is forked
+    monkeypatch.setattr(dist_engine, "_FORK_WORK", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    roles = _roles(monkeypatch)
+    new, ref, _ = _memo_after((30, (2, 3, 1, 2)))
+    assert roles == [(True, True)]
+    assert list(new) == list(ref) and new == ref
     _assert_no_child()
 
 

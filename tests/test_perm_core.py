@@ -16,7 +16,6 @@ from qmmp132 import (
     avoids_132,
     catalan,
     contains_classical,
-    format_perm,
     gen_avoiders,
     inverse,
     parse_perm,
@@ -228,10 +227,3 @@ def test_parse_digits_reads_ascii_digits_only():
     # int() reads every one of these
     for text in ("", "+1", "-1", " 1", "1_0", "\u0661", "\u00b2", "1\n"):
         assert parse_digits(text) is None, ascii(text)
-
-
-def test_format_perm_roundtrip():
-    assert format_perm((4, 7, 1, 5, 6, 9, 2, 8, 3)) == "471569283"
-    long = tuple(range(10, 0, -1))
-    assert format_perm(long) == "10,9,8,7,6,5,4,3,2,1"
-    assert parse_perm(format_perm(long)) == long
